@@ -6,30 +6,22 @@
 //! engines are first driven in lockstep over an identical schedule and
 //! must produce identical per-cycle events and final counters; then each
 //! is timed separately on its own instance. Results are printed as a
-//! table and written to `BENCH_engine.json`.
+//! table; with `ICN_BENCH_BLESS=1` they also overwrite the committed
+//! baseline (`BENCH_engine.json`), otherwise the baseline is only read.
 //!
-//! A second section times the sharded engine on `large_saturation` — a
-//! 16-ary 3-cube (4096 nodes) at full load, the scale the spatial
-//! sharding exists for — at 1/2/4/8 shards, after a lockstep digest
-//! cross-check between the flat and 4-shard instances. `shard4_ratio`
-//! (4-shard over 1-shard cycles/sec) joins the committed baseline; on a
-//! single-core machine logical shards run inline so the honest ratio is
-//! ~1.0, and the gate tracks whatever the committed machine measured.
-//!
-//! A third section compares the detection modes on a deadlock-heavy
+//! A second section compares the detection modes on a deadlock-heavy
 //! regime (full `flexsim::run`s, recovery in the loop): after a digest
 //! cross-check, `incremental_ratio` (incremental over snapshot
 //! cycles/sec) joins the baseline and is gated at a fixed 0.9 — the
 //! every-cycle detector may cost at most 10% of run throughput.
 //!
-//! Run with `cargo bench -p icn-bench --bench engine_throughput` (add
-//! `--features parallel` for real shard counts; without it the knob
-//! clamps to 1 and the sweep degenerates to a flat-engine control). Exits
-//! non-zero if any digest diverges, or if the saturation speedup or
-//! `shard4_ratio` regresses more than 20% below the committed
-//! `BENCH_engine.json` baseline (ratios are machine-normalized, so this
-//! survives CI-runner variance); the remaining throughput checks are
-//! reported as PASS/FAIL but do not fail the process (wall-clock noise).
+//! Run with `cargo bench -p icn-bench --bench engine_throughput`. Exits
+//! non-zero if any digest diverges, if `incremental_ratio` falls below
+//! 0.9, or if the saturation speedup regresses more than 20% below the
+//! committed `BENCH_engine.json` baseline (ratios are machine-normalized,
+//! so this survives CI-runner variance); the remaining throughput checks
+//! are reported as PASS/FAIL but do not fail the process (wall-clock
+//! noise).
 //!
 //! `ICN_BENCH_QUICK=1` shrinks the verify/measure windows for CI smoke
 //! runs (~seconds instead of ~minutes).
@@ -243,88 +235,6 @@ fn time_engine(case: &Case, dense: bool, w: Windows) -> f64 {
     best
 }
 
-/// Windows for the 4096-node sharded section: the network is 16× the
-/// flat cases', so it gets its own (much shorter) windows.
-fn large_windows() -> (u64, u64, usize) {
-    if quick_mode() {
-        (300, 600, 1)
-    } else {
-        (1_000, 2_500, 2)
-    }
-}
-
-/// Builds the `large_saturation` point — 16-ary 3-cube (4096 nodes),
-/// TFAR with 2 VCs at full load — with `shards` requested; returns the
-/// effective shard count actually granted (1 on serial builds).
-fn build_large(shards: usize) -> (Network, BernoulliInjector, StdRng, usize) {
-    let topo = KAryNCube::torus(16, 3, true);
-    let injector = BernoulliInjector::for_load(&topo, 1.0, MSG_LEN);
-    let mut net = Network::new(
-        topo,
-        Box::new(Tfar),
-        SimConfig {
-            vcs_per_channel: 2,
-            buffer_depth: 2,
-            msg_len: MSG_LEN,
-        },
-    );
-    let eff = net.set_shards(shards);
-    (net, injector, StdRng::seed_from_u64(11), eff)
-}
-
-/// Lockstep cross-check between the flat and 4-shard instances of
-/// `large_saturation`: identical per-cycle events and final digests, or
-/// the shard sweep's numbers are meaningless.
-fn large_shard_crosscheck(cycles: u64) -> bool {
-    let (mut a, injector, mut rng_a, _) = build_large(1);
-    let (mut b, _, mut rng_b, _) = build_large(4);
-    let topo = a.topology().clone();
-    let mut fa = (0, 0, 0);
-    let mut fb = (0, 0, 0);
-    for cycle in 0..cycles {
-        offer_traffic(&mut a, &topo, &injector, &mut rng_a);
-        offer_traffic(&mut b, &topo, &injector, &mut rng_b);
-        let ea = a.step();
-        let eb = b.step();
-        if ea != eb {
-            eprintln!("large_saturation: events diverged at cycle {cycle} (1 vs 4 shards)");
-            return false;
-        }
-        fold(&mut fa, &ea);
-        fold(&mut fb, &eb);
-    }
-    let da = digest(&a, &fa);
-    let db = digest(&b, &fb);
-    if da != db {
-        eprintln!("large_saturation: digests diverged\n  1 shard:  {da}\n  4 shards: {db}");
-        return false;
-    }
-    true
-}
-
-/// Steady-state cycles/sec of `large_saturation` at `shards`; best of
-/// `reps` runs. Also returns the effective shard count.
-fn time_large(shards: usize, warmup: u64, measure: u64, reps: usize) -> (usize, f64) {
-    let mut best = 0.0f64;
-    let mut eff = 1;
-    for _ in 0..reps {
-        let (mut net, injector, mut rng, e) = build_large(shards);
-        eff = e;
-        let topo = net.topology().clone();
-        for _ in 0..warmup {
-            offer_traffic(&mut net, &topo, &injector, &mut rng);
-            net.step();
-        }
-        let start = Instant::now();
-        for _ in 0..measure {
-            offer_traffic(&mut net, &topo, &injector, &mut rng);
-            net.step();
-        }
-        best = best.max(measure as f64 / start.elapsed().as_secs_f64());
-    }
-    (eff, best)
-}
-
 /// Windows for the incremental-detection section: full `flexsim::run`s
 /// (detection + recovery in the loop) on a deadlock-heavy 8-ary 2-cube,
 /// so the windows are their own size again.
@@ -363,16 +273,6 @@ fn time_detection_mode(mode: flexsim::DetectionMode, w: (u64, u64, usize)) -> f6
         best = best.max(cps);
     }
     best
-}
-
-/// Pulls `"shard4_ratio": <x>` out of a committed `BENCH_engine.json`.
-fn baseline_shard4_ratio(json: &str) -> Option<f64> {
-    let row = json.lines().find(|l| l.contains("\"shard4_ratio\""))?;
-    let tail = row.split("\"shard4_ratio\": ").nth(1)?;
-    tail.split(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .next()?
-        .parse()
-        .ok()
 }
 
 /// Pulls `"speedup": <x>` out of the saturation row of a committed
@@ -439,49 +339,6 @@ fn main() {
         "  [{}] identical digests vs dense reference on all configs",
         if all_match { "PASS" } else { "FAIL" },
     );
-    // Sharded large-network section: cross-check then shard sweep.
-    let (lg_warm, lg_measure, lg_reps) = large_windows();
-    println!();
-    println!(
-        "== large_saturation: 16-ary 3-cube (4096 nodes), full load, shard scaling ==\n   \
-         warmup {lg_warm} cycles, measure {lg_measure} cycles x {lg_reps} reps"
-    );
-    let cross_cycles = if quick_mode() { 400 } else { 1_000 };
-    let shards_match = large_shard_crosscheck(cross_cycles);
-    println!(
-        "  [{}] identical digests, 1 vs 4 shards, {cross_cycles}-cycle lockstep",
-        if shards_match { "PASS" } else { "FAIL" },
-    );
-    let mut shard_rows = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let (eff, cps) = time_large(shards, lg_warm, lg_measure, lg_reps);
-        println!(
-            "{:>14}  requested {shards} shards (effective {eff})   {cps:>10.0} cyc/s",
-            format!("large_s{shards}"),
-        );
-        shard_rows.push((shards, eff, cps));
-    }
-    let shard4_ratio = shard_rows[2].2 / shard_rows[0].2;
-    let baseline_ratio = std::fs::read_to_string(baseline_path())
-        .ok()
-        .as_deref()
-        .and_then(baseline_shard4_ratio);
-    let shard_regressed = match baseline_ratio {
-        Some(b) => {
-            let ok = shard4_ratio >= 0.8 * b;
-            println!(
-                "  [{}] shard4_ratio within 20% of committed baseline \
-                 (measured {shard4_ratio:.2}x vs baseline {b:.2}x)",
-                if ok { "PASS" } else { "FAIL" },
-            );
-            !ok
-        }
-        None => {
-            println!("  [SKIP] no committed shard4_ratio baseline to compare against");
-            false
-        }
-    };
-
     // Incremental-detection section: the event-patched every-cycle
     // detector must stay digest-identical to snapshot mode and cost no
     // more than 10% of a full run's throughput on a deadlock-heavy
@@ -551,19 +408,7 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
-    json.push_str("  ],\n  \"large_saturation\": [\n");
-    for (i, (req, eff, cps)) in shard_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"large_saturation_s{req}\", \"effective_shards\": {eff}, \
-             \"cycles_per_sec\": {cps:.0}}}{}",
-            if i + 1 < shard_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"shard4_ratio\": {shard4_ratio:.3},\n  \"shards_digest_match\": {shards_match},"
-    );
+    json.push_str("  ],\n");
     let _ = writeln!(
         json,
         "  \"incremental_detection\": {{\"snapshot_cycles_per_sec\": {snap_cps:.0}, \
@@ -572,25 +417,20 @@ fn main() {
          \"digest_match\": {inc_match}}}"
     );
     json.push_str("}\n");
-    match std::fs::write(baseline_path(), &json) {
-        Ok(()) => println!("\nwrote {}", baseline_path()),
-        Err(e) => eprintln!("\ncannot write {}: {e}", baseline_path()),
+    // Re-baselining is an explicit act: a plain run only compares.
+    if std::env::var("ICN_BENCH_BLESS").is_ok_and(|v| v == "1") {
+        match std::fs::write(baseline_path(), &json) {
+            Ok(()) => println!("\nwrote {}", baseline_path()),
+            Err(e) => eprintln!("\ncannot write {}: {e}", baseline_path()),
+        }
     }
 
     if !all_match {
         eprintln!("engine digest mismatch — the activity stepper is wrong");
         std::process::exit(1);
     }
-    if !shards_match {
-        eprintln!("sharded digest mismatch — the sharded scheduler is wrong");
-        std::process::exit(1);
-    }
     if sat_regressed {
         eprintln!("saturation speedup regressed more than 20% vs the committed baseline");
-        std::process::exit(1);
-    }
-    if shard_regressed {
-        eprintln!("shard4_ratio regressed more than 20% vs the committed baseline");
         std::process::exit(1);
     }
     if !inc_match {

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [fig5] [fig6] [fig7] [fig8] [degree] [traffic] [all] [--small] [--csv]
 //! repro forensics [--store DIR] [--seed N] [--max N] [--cycles N] [--no-prefix]
-//! repro validate [--configs N] [--cwgs N] [--seed N] [--shards N] [--incremental] [--store DIR] [--no-explore]
+//! repro validate [--configs N] [--cwgs N] [--seed N] [--incremental] [--store DIR] [--no-explore]
 //! repro faults [--seed N] [--expect-stall]
 //! repro serve [--addr HOST:PORT] [--data DIR] [--workers N] [--smoke]
 //!             [--port-file PATH] [--lease-ms N] [--scan-ms N]
@@ -70,8 +70,7 @@
 //! is differentially checked against the independent naive oracle and
 //! the brute-force enumerator on randomized CWGs (`--cwgs`, default 512),
 //! on every detection epoch of `--configs` (default 16) seeded random
-//! live configurations (with full invariant auditing; `--shards N` runs
-//! them on the sharded engine so the oracle audits that path;
+//! live configurations (with full invariant auditing;
 //! `--incremental` repeats the campaign with every config forced through
 //! the event-patched incremental detector), on freshly
 //! captured forensics incidents, on every incident in `--store DIR` (if
@@ -267,7 +266,6 @@ fn validate_main(args: &[String]) -> i32 {
     let num_cwgs = parse_u64("--cwgs", 512);
     let num_configs = parse_u64("--configs", 16) as usize;
     let base_seed = parse_u64("--seed", 0xdeadbeef);
-    let shards = parse_u64("--shards", 1) as usize;
     let incremental = args.iter().any(|a| a == "--incremental");
     let explore = !args.iter().any(|a| a == "--no-explore");
     let started = Instant::now();
@@ -314,14 +312,8 @@ fn validate_main(args: &[String]) -> i32 {
 
     // Stage 2: live campaign over seeded random configurations, each run
     // under the full invariant-auditing observer.
-    if shards > 1 {
-        println!(
-            "== validate: live campaign over {num_configs} random configs (shards={shards}) =="
-        );
-    } else {
-        println!("== validate: live campaign over {num_configs} random configs ==");
-    }
-    let campaign = v::campaign_with_shards(num_configs, base_seed, shards);
+    println!("== validate: live campaign over {num_configs} random configs ==");
+    let campaign = v::campaign(num_configs, base_seed);
     println!(
         "   {} configs, {} epochs differentially checked, {} with knots",
         campaign.configs, campaign.epochs_checked, campaign.deadlock_epochs

@@ -667,8 +667,10 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
             },
         ),
         ("faults", crate::faults::plan_to_json(&cfg.faults)),
-        ("transfer_threads", Json::U64(cfg.transfer_threads as u64)),
-        ("shards", Json::U64(cfg.shards as u64)),
+        // Retired knobs, written as the literal 1 so the canonical text —
+        // and every cache key derived from it — stays byte-identical.
+        ("transfer_threads", Json::U64(1)),
+        ("shards", Json::U64(1)),
         (
             "stall_threshold",
             match cfg.stall_threshold {
@@ -734,19 +736,10 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
         seed: get_u64(v, "seed")?,
         forensics,
         faults: crate::faults::plan_from_json(get(v, "faults")?)?,
-        // Absent in records written before the knob existed; the serial
-        // engine is the semantic default either way.
-        transfer_threads: match get(v, "transfer_threads") {
-            Ok(j) => {
-                j.as_u64()
-                    .ok_or_else(|| bad("`transfer_threads` must be u64"))? as usize
-            }
-            Err(_) => 1,
-        },
-        shards: match get(v, "shards") {
-            Ok(j) => j.as_u64().ok_or_else(|| bad("`shards` must be u64"))? as usize,
-            Err(_) => 1,
-        },
+        // Retired engine knobs: older records carry these keys with any
+        // value; they are accepted and ignored.
+        transfer_threads: 1,
+        shards: 1,
         stall_threshold: match get(v, "stall_threshold")? {
             Json::Null => None,
             j => Some(
@@ -785,7 +778,14 @@ mod tests {
         cfg.detection = DetectionMode::Incremental;
         let text = config_to_json(&cfg).to_string();
         let back = config_from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(cfg, back);
+        // The retired engine knobs are written as 1 and ignored on decode.
+        assert!(text.contains("\"transfer_threads\":1,\"shards\":1"));
+        let want = RunConfig {
+            transfer_threads: 1,
+            shards: 1,
+            ..cfg
+        };
+        assert_eq!(want, back);
     }
 
     #[test]

@@ -102,20 +102,21 @@ impl ForensicsState {
 
     /// Records a detection epoch's knots: formation statistics always,
     /// plus a full [`DeadlockIncident`] while under the cap. Called after
-    /// the recovery loop so the outcome (victims) is known.
+    /// the recovery loop so the outcome (victims) is known. An epoch with
+    /// knots always captured `arena` fresh, so its cycle is the epoch's.
     pub fn record_epoch(
         &mut self,
         run_cfg: &RunConfig,
         arena: &SnapshotArena,
         analysis: &Analysis,
         victims: &[u64],
-        cycle: u64,
         formation: &[u64],
         res: &mut RunResult,
     ) {
         if analysis.deadlocks.is_empty() {
             return;
         }
+        let cycle = arena.cycle();
         for d in &analysis.deadlocks {
             if let Some(stats) = self.timeline.formation_stats(&d.deadlock_set) {
                 for latency in &stats.member_latencies {

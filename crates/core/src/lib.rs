@@ -72,8 +72,7 @@ pub use sweep::{
 /// server's content-addressed cache keys. Bump it whenever a change can
 /// alter any [`RunResult`] digest for an unchanged configuration — a
 /// perf refactor that stays byte-identical (the repo's differential
-/// suites enforce this, including at any `transfer_threads` count) does
-/// NOT need a bump, which is what makes cached results durable across
+/// suites enforce this) does NOT need a bump, which is what makes cached results durable across
 /// such PRs.
 pub const ENGINE_VERSION: &str = "flexsim-engine-v2";
 
@@ -129,19 +128,14 @@ pub struct RunConfig {
     /// Scheduled fault injection (link outages, router stalls, injector
     /// failures). An empty plan is byte-identical to no plan.
     pub faults: FaultPlan,
-    /// Decide partitions for the engine's transfer phase (see
-    /// [`icn_sim::Network::set_transfer_threads`]). 1 = serial fused
-    /// walk; values above 1 take effect only when the `parallel` cargo
-    /// feature is enabled, and produce byte-identical results either way.
+    /// Ignored: the engine has one serial transfer walk. The field stays
+    /// only because the repository benchmark (`perfbench/`) still reads
+    /// it, and will be removed once the benchmark stops doing so. No
+    /// workspace code reads it; [`forensics::config_to_json`] always
+    /// writes `1`.
     pub transfer_threads: usize,
-    /// Spatial shards for the cycle-barrier sharded engine (see
-    /// [`icn_sim::Network::set_shards`]). 1 = the flat serial engine;
-    /// values above 1 partition the network into contiguous node ranges
-    /// that step concurrently inside each cycle, exchanging boundary
-    /// traffic at the barrier in canonical order. Like `transfer_threads`
-    /// this knob is digest-neutral — results are byte-identical at any
-    /// shard count — and takes effect only with the `parallel` cargo
-    /// feature (clamped to 1 otherwise).
+    /// Ignored, like `transfer_threads`: the engine is not sharded. Kept
+    /// for the same reader and removed together with it.
     pub shards: usize,
     /// Progress watchdog: when `Some(t)`, a run that makes no progress
     /// (no injection, link movement, drain, delivery, recovery start, or

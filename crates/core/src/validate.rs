@@ -737,16 +737,7 @@ impl CampaignOutcome {
 /// Runs `num_configs` seeded random configs (seeds `base_seed..`), each
 /// under a fresh [`ValidationObserver`] on the activity stepper.
 pub fn campaign(num_configs: usize, base_seed: u64) -> CampaignOutcome {
-    campaign_with_shards(num_configs, base_seed, 1)
-}
-
-/// [`campaign`] with every drawn config forced to `shards` spatial
-/// shards, keeping the oracle auditing the sharded engine: the observer's
-/// per-epoch differential checks run against sharded stepping and the
-/// fragment-assembled snapshots. Digest-neutral, so the audit verdicts
-/// must be identical to the serial campaign's.
-pub fn campaign_with_shards(num_configs: usize, base_seed: u64, shards: usize) -> CampaignOutcome {
-    campaign_with(num_configs, base_seed, |cfg| cfg.shards = shards)
+    campaign_with(num_configs, base_seed, |_| {})
 }
 
 /// [`campaign`] with every drawn config forced to

@@ -2,10 +2,11 @@
 //!
 //! Every completed configuration is stored under a key derived from its
 //! *canonical digest*: the full [`config_to_json`] rendering (seed and
-//! fault plan included) with `transfer_threads` and `shards` normalized
-//! to 1 — the engine is digest-identical at any thread or shard count, so
-//! neither knob may fragment the cache — concatenated with
-//! [`flexsim::ENGINE_VERSION`].
+//! fault plan included) with `detection` normalized to snapshot — both
+//! detectors are digest-identical, so the mode may not fragment the cache
+//! — concatenated with [`flexsim::ENGINE_VERSION`]. The retired
+//! `transfer_threads` and `shards` keys are always rendered as `1`, so
+//! keys written before those knobs were removed still match.
 //! Resubmitting any previously run configuration is answered from disk
 //! without simulating; an engine-semantics bump invalidates everything
 //! at once by changing every key.
@@ -34,15 +35,12 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
 }
 
 /// The canonical config text a cache key digests: config JSON with
-/// `transfer_threads` and `shards` pinned to 1 and `detection` pinned to
-/// snapshot, plus the engine version. All three knobs are digest-neutral
-/// (parallelism controls and the incremental detector produce
-/// byte-identical results), so leaving any in the key would fragment the
+/// `detection` pinned to snapshot, plus the engine version. The detection
+/// mode is digest-neutral (the incremental detector produces
+/// byte-identical results), so leaving it in the key would fragment the
 /// cache with duplicate results.
 pub fn canonical_config(cfg: &RunConfig) -> String {
     let mut c = cfg.clone();
-    c.transfer_threads = 1;
-    c.shards = 1;
     c.detection = flexsim::DetectionMode::Snapshot;
     format!("{}\u{0}{ENGINE_VERSION}", config_to_json(&c))
 }
@@ -152,23 +150,63 @@ mod tests {
         c
     }
 
+    /// Keys are durable across engine refactors: these values were
+    /// computed before the retired `transfer_threads` / `shards` knobs were
+    /// removed, and every stored cache entry depends on them staying put.
     #[test]
-    fn key_ignores_transfer_threads_but_not_seed() {
+    fn keys_are_pinned() {
+        assert_eq!(
+            config_key(&RunConfig::paper_default()),
+            "27c9cf890d8ee50fa49895efdd7e1fd6"
+        );
+        let mut faulted = RunConfig::paper_default();
+        faulted.faults.link_outage(0, 10, 20).node_stall(50, 3, 7);
+        assert_eq!(config_key(&faulted), "93e8ce8c7ee16150f823edd14cd8665b");
+    }
+
+    /// Grid and incident JSON written while the retired knobs existed may
+    /// carry any value for them; both decode and land on the same key.
+    #[test]
+    fn retired_knobs_in_old_json_do_not_fragment() {
+        let retire = |text: String| {
+            let old = text.replace(
+                "\"transfer_threads\":1,\"shards\":1",
+                "\"shards\":4,\"transfer_threads\":3",
+            );
+            assert_ne!(old, text, "the retired keys are rendered");
+            old
+        };
+        let cfg = quick_cfg();
+        let grid = retire(obj(vec![("base", config_to_json(&cfg))]).to_string());
+        let grid = crate::SweepGrid::from_json(&grid).unwrap();
+        assert_eq!(config_key(&grid.base), config_key(&cfg));
+
+        // A real incident from a known-deadlocking config.
+        let mut dl = RunConfig::small_default();
+        dl.topology = flexsim::TopologySpec::torus(8, 2, false);
+        dl.load = 1.0;
+        dl.warmup = 400;
+        dl.measure = 800;
+        dl.forensics = Some(flexsim::ForensicsConfig::default());
+        let res = run(&dl);
+        let inc = res
+            .forensic_incidents
+            .first()
+            .expect("captures an incident");
+        let text = retire(inc.to_json_string());
+        let back = flexsim::forensics::DeadlockIncident::from_json_str(&text).unwrap();
+        assert_eq!(config_key(&back.config), config_key(&dl));
+    }
+
+    #[test]
+    fn key_ignores_detection_mode_but_not_seed() {
         let a = quick_cfg();
         let mut b = a.clone();
-        b.transfer_threads = 4;
+        b.detection = flexsim::DetectionMode::Incremental;
         assert_eq!(
             config_key(&a),
             config_key(&b),
-            "thread count must not fragment"
-        );
-        let mut s = a.clone();
-        s.shards = 8;
-        s.transfer_threads = 2;
-        assert_eq!(
-            config_key(&a),
-            config_key(&s),
-            "shard count must not fragment"
+            "detection mode must not fragment"
         );
         let mut c = a.clone();
         c.seed ^= 1;

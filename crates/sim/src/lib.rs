@@ -64,7 +64,5 @@ pub use events::{DeliveredMsg, StepEvents};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use message::{MessageId, MessageInfo, MsgPhase};
 pub use network::Network;
-pub use snapshot::{
-    ArenaMsg, SnapshotArena, SnapshotFragment, SnapshotMsg, WaitSnapshot, WaitUpdate,
-};
+pub use snapshot::{ArenaMsg, SnapshotArena, SnapshotMsg, WaitSnapshot, WaitUpdate};
 pub use trace::TraceEvent;

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use icn_routing::{Candidate, RoutingAlgorithm, RoutingCtx};
-use icn_topology::{ChannelId, KAryNCube, NodeId, ShardPlan};
+use icn_topology::{ChannelId, KAryNCube, NodeId};
 
 use crate::config::SimConfig;
 use crate::events::{DeliveredMsg, StepEvents};
@@ -280,45 +280,6 @@ pub struct Network {
     /// Bit-idempotent, so a VC that changes occupancy several times in one
     /// cycle carries exactly one mark.
     occ_dirty_words: Vec<u64>,
-    /// Transfer decide-pass output buffers, one per decide partition
-    /// (always at least one; drained by the apply pass each cycle).
-    xfer_bufs: Vec<MoveBuf>,
-    /// Decide partitions for the transfer phase. 1 = serial fused walk
-    /// (the fast path); >1 (only reachable with the `parallel` cargo
-    /// feature) fans the pure decide pass out over contiguous word ranges
-    /// of the active-channel bitset on scoped threads, then applies the
-    /// decided moves serially in canonical (ascending channel) order.
-    transfer_threads: usize,
-    /// Logical shard count for the sharded engine (1 = unsharded). The
-    /// determinism unit: results depend only on this, never on how many
-    /// OS threads actually execute the shards.
-    shards: usize,
-    /// Spatial partition backing the sharded path; built by
-    /// [`Self::set_shards`] when `shards > 1`.
-    shard_plan: Option<ShardPlan>,
-    /// OS threads driving the sharded decide fan-out:
-    /// `min(shards, available_parallelism)`. 1 runs the fan-out inline —
-    /// same decide partitions, same results, no spawn cost.
-    shard_workers: usize,
-    /// Latched at the first activity step: true when this run takes the
-    /// sharded path (`shards > 1`, no fault plan, no tracer). Faulted and
-    /// traced runs fall back to the serial path, whose per-cycle fault
-    /// checks and event streams are defined in global id order.
-    shard_active: bool,
-    /// Per-shard runnable queues (each id-sorted), the sharded
-    /// replacement of [`Self::alloc_queue`]. A message is queued in the
-    /// shard owning its header's node — the only shard whose resources it
-    /// can contend for — so attempting the shards in order is equivalent
-    /// to one global id-ordered pass.
-    shard_queues: Vec<Vec<u32>>,
-    /// Per-(src-shard, dst-shard) migration mailboxes at
-    /// `src * shards + dst`: survivors whose new head crossed a shard
-    /// boundary, drained in canonical shard-id order (merged back by id)
-    /// at the allocation barrier. Empty between steps.
-    shard_outboxes: Vec<Vec<u32>>,
-    /// Per-shard buckets of woken slots (scratch for the sharded
-    /// woken-merge). Empty between steps.
-    shard_woken: Vec<Vec<u32>>,
     /// VC index → physical channel index. `vcs_per_channel` is a runtime
     /// value, so `v / vcs_per` in the per-move hot loops would compile to
     /// a hardware divide; this table is small enough to stay L1-resident.
@@ -414,154 +375,6 @@ pub(crate) fn compute_candidates(
     buf.retain(|c| !failed[c.channel.idx()]);
 }
 
-/// One decided flit movement, produced by the pure transfer-decision pass
-/// and executed by the canonical apply pass: VC `v` (owned by message slot
-/// `owner`) gains a flit that comes from VC `prev`, or from the source
-/// queue when `prev == FROM_SOURCE`.
-#[derive(Clone, Copy, Debug)]
-struct Move {
-    v: u32,
-    owner: u32,
-    prev: u32,
-}
-
-/// Output buffer of one transfer-decision pass: the decided moves in
-/// ascending channel order, plus the channels whose sender was frozen (a
-/// fault stall) and must stay on the active list. One buffer per decide
-/// partition; the apply pass drains them in partition order, which keeps
-/// the overall apply sequence ascending in channel id regardless of how
-/// many partitions decided.
-#[derive(Debug, Default)]
-struct MoveBuf {
-    moves: Vec<Move>,
-    stalled: Vec<u32>,
-}
-
-/// Read-only view of everything the transfer-decision pass consumes. All
-/// inputs are start-of-cycle state (`occ_start` is the occupancy snapshot;
-/// `link_rr`, `msg_uninjected`, ownership and feed caches are unmodified
-/// during deciding), so decisions are independent per channel: deciding a
-/// channel set in any partitioning yields the same moves, which is what
-/// makes the opt-in parallel decide digest-identical to the serial one.
-struct TransferCtx<'a> {
-    topo: &'a KAryNCube,
-    occ_start: &'a [u16],
-    vc_owner: &'a [u32],
-    vc_feed: &'a [u32],
-    msg_uninjected: &'a [u32],
-    owned_per_channel: &'a [u16],
-    link_rr: &'a [u8],
-    stall_until: &'a [u64],
-    chan_scan: &'a [u64],
-    fault_mode: bool,
-    cycle: u64,
-    vcs_per: usize,
-    depth: u16,
-}
-
-/// Pure transfer-decision pass over the word range `words` of
-/// `ctx.chan_scan`: for each active channel, pick the one VC that carries
-/// a flit this cycle (round-robin tie-break, start-of-cycle occupancies)
-/// and record the move. Mutates nothing but `out`, so disjoint word
-/// ranges can be decided concurrently and their buffers concatenated in
-/// range order for a canonical apply.
-fn decide_transfers(ctx: &TransferCtx<'_>, words: std::ops::Range<usize>, out: &mut MoveBuf) {
-    for w in words {
-        decide_word(ctx, w, ctx.chan_scan[w], out);
-    }
-}
-
-/// [`decide_transfers`] over an arbitrary channel range. Shard channel
-/// ranges follow node boundaries, which are not multiples of 64, so the
-/// first and last scan words are masked down to the channels inside
-/// `chans`; adjacent shards sharing a word each decide only their own
-/// bits.
-fn decide_transfers_masked(
-    ctx: &TransferCtx<'_>,
-    chans: std::ops::Range<usize>,
-    out: &mut MoveBuf,
-) {
-    if chans.is_empty() {
-        return;
-    }
-    let lo_w = chans.start >> 6;
-    let hi_w = (chans.end - 1) >> 6;
-    for w in lo_w..=hi_w {
-        let mut word = ctx.chan_scan[w];
-        if w == lo_w {
-            word &= !0u64 << (chans.start & 63);
-        }
-        if w == hi_w {
-            let used = chans.end - (w << 6);
-            if used < 64 {
-                word &= (1u64 << used) - 1;
-            }
-        }
-        decide_word(ctx, w, word, out);
-    }
-}
-
-/// Pure transfer decisions for the channels of scan word `w` selected by
-/// `word` (a possibly masked copy of `ctx.chan_scan[w]`): the word-level
-/// body shared by [`decide_transfers`] and [`decide_transfers_masked`].
-#[inline]
-fn decide_word(ctx: &TransferCtx<'_>, w: usize, word: u64, out: &mut MoveBuf) {
-    {
-        let mut word = word;
-        let wbase = w << 6;
-        while word != 0 {
-            let ch = wbase + word.trailing_zeros() as usize;
-            word &= word - 1;
-            if ctx.owned_per_channel[ch] == 0 {
-                continue;
-            }
-            if ctx.fault_mode
-                && ctx.cycle < ctx.stall_until[ctx.topo.channel(ChannelId(ch as u32)).src.idx()]
-            {
-                // Frozen sender: nothing moves, but pending movement must
-                // survive the stall — keep the channel on the active list.
-                out.stalled.push(ch as u32);
-                continue;
-            }
-            let base = ch * ctx.vcs_per;
-            let start = ctx.link_rr[ch] as usize;
-            for i in 0..ctx.vcs_per {
-                // `start + i < 2 * vcs_per`, so one conditional subtract
-                // replaces a hardware divide (`vcs_per` is not a constant).
-                let mut off = start + i;
-                if off >= ctx.vcs_per {
-                    off -= ctx.vcs_per;
-                }
-                let v = base + off;
-                let owner = ctx.vc_owner[v];
-                if owner == NO_OWNER || ctx.occ_start[v] >= ctx.depth {
-                    continue;
-                }
-                // The feed cache mirrors the owner's chain, so the movement
-                // decision touches only the dense per-VC vectors — never
-                // the message slab (the dense stepper still walks chains,
-                // which keeps the differential tests validating the cache).
-                let feed = ctx.vc_feed[v];
-                let moved = if feed == FROM_SOURCE {
-                    // Chain front: flits arrive from the source.
-                    ctx.msg_uninjected[owner as usize] > 0
-                } else {
-                    ctx.occ_start[feed as usize] >= 1
-                };
-                if !moved {
-                    continue;
-                }
-                out.moves.push(Move {
-                    v: v as u32,
-                    owner,
-                    prev: feed,
-                });
-                break;
-            }
-        }
-    }
-}
-
 impl Network {
     /// A new, empty network.
     pub fn new(topo: KAryNCube, routing: Box<dyn RoutingAlgorithm>, cfg: SimConfig) -> Self {
@@ -621,15 +434,6 @@ impl Network {
             drain_idx: Vec::new(),
             drain_head: Vec::new(),
             occ_dirty_words: vec![0; n_vcs.div_ceil(64)],
-            xfer_bufs: vec![MoveBuf::default()],
-            transfer_threads: 1,
-            shards: 1,
-            shard_plan: None,
-            shard_workers: 1,
-            shard_active: false,
-            shard_queues: Vec::new(),
-            shard_outboxes: Vec::new(),
-            shard_woken: Vec::new(),
             vc_chan: (0..n_vcs)
                 .map(|v| (v / cfg.vcs_per_channel) as u32)
                 .collect(),
@@ -768,89 +572,6 @@ impl Network {
         if self.wait_tracking {
             self.wait_dirty_all = true;
         }
-    }
-
-    /// Sets the number of decide partitions for the activity transfer
-    /// phase. With the `parallel` cargo feature, values above 1 fan the
-    /// pure transfer-decision pass out over `n` contiguous word ranges of
-    /// the active-channel bitset on scoped OS threads; the apply pass
-    /// stays serial and canonical (ascending channel order), so every
-    /// observable — events, traces, counters, digests — is byte-identical
-    /// to the single-threaded engine. Without the feature the call is a
-    /// no-op (the engine stays serial); fault-mode instances always
-    /// decide serially regardless. Threads are scoped per cycle, so this
-    /// pays off only when per-cycle decide work is large relative to
-    /// spawn cost (big networks at deep saturation).
-    ///
-    /// Returns the **effective** value, so callers on a serial build (or
-    /// requesting more than the engine honors) can surface the downgrade
-    /// instead of silently running serial.
-    pub fn set_transfer_threads(&mut self, n: usize) -> usize {
-        if cfg!(feature = "parallel") {
-            self.transfer_threads = n.max(1);
-        }
-        self.transfer_threads
-    }
-
-    /// Current decide-partition count for the transfer phase.
-    pub fn transfer_threads(&self) -> usize {
-        self.transfer_threads
-    }
-
-    /// Sets the logical shard count for the sharded engine and returns
-    /// the **effective** value.
-    ///
-    /// With the `parallel` cargo feature, values above 1 partition the
-    /// network into that many contiguous spatial shards (clamped to the
-    /// node count): each cycle, allocation walks the per-shard runnable
-    /// queues in shard order — equivalent to the serial global id order
-    /// because a header only ever contends for resources of the node it
-    /// sits at, which belong to exactly one shard — with boundary
-    /// crossings exchanged through per-(src, dst) mailboxes at the cycle
-    /// barrier, and the pure transfer-decide pass fans out one partition
-    /// per shard (on scoped threads when the host has spare cores, inline
-    /// otherwise). Every observable — events, counters, digests — is
-    /// byte-identical to the serial engine at any shard count; the
-    /// invariance suite enforces this.
-    ///
-    /// Without the feature the call is a no-op and returns 1. Fault-plan
-    /// or tracing runs fall back to the serial path regardless (latched
-    /// at the first step). Must be called before stepping.
-    pub fn set_shards(&mut self, n: usize) -> usize {
-        assert_eq!(self.cycle, 0, "configure shards before stepping");
-        if cfg!(feature = "parallel") {
-            let plan = ShardPlan::new(&self.topo, n.max(1));
-            self.shards = plan.shards();
-            if self.shards > 1 {
-                self.shard_queues = vec![Vec::new(); self.shards];
-                self.shard_outboxes = vec![Vec::new(); self.shards * self.shards];
-                self.shard_woken = vec![Vec::new(); self.shards];
-                self.shard_workers = std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-                    .min(self.shards);
-                self.shard_plan = Some(plan);
-            } else {
-                self.shard_plan = None;
-                self.shard_workers = 1;
-                self.shard_queues.clear();
-                self.shard_outboxes.clear();
-                self.shard_woken.clear();
-            }
-        }
-        self.shards
-    }
-
-    /// Current logical shard count (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The spatial partition backing the sharded path, when one is
-    /// installed (used by the runner to assemble the detection snapshot
-    /// from per-shard fragments).
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shard_plan.as_ref()
     }
 
     // ------------------------------------------------------------------
@@ -1139,8 +860,8 @@ impl Network {
         }
         if self.mode != StepMode::Dense {
             // Pull the message out of the allocation machinery and onto the
-            // drain list. A `Queued` entry stays in `alloc_queue` (or its
-            // shard queue) / `woken` and is dropped by the state check at
+            // drain list. A `Queued` entry stays in `alloc_queue` /
+            // `woken` and is dropped by the state check at
             // the next pass, before the slot can ever be recycled.
             if self.alloc_state[slot as usize] == AllocState::Parked {
                 self.unpark(slot);
@@ -1219,14 +940,7 @@ impl Network {
             StepMode::Dense,
             "instance already stepped with step_reference; steppers cannot be mixed"
         );
-        if self.mode == StepMode::Unset {
-            self.mode = StepMode::Activity;
-            // Latch the sharded path once: fault plans must be installed
-            // before stepping, and faulted or traced runs take the serial
-            // path (their per-cycle fault checks and trace streams are
-            // defined in global id order).
-            self.shard_active = self.shards > 1 && !self.fault_mode && self.tracer.is_none();
-        }
+        self.mode = StepMode::Activity;
         let mut events = StepEvents::default();
         self.apply_due_faults(&mut events);
         // Visits deferred from last cycle (injection completed in the
@@ -1234,17 +948,9 @@ impl Network {
         // this cycle's transfer triggers cannot double-add them.
         debug_assert!(self.release_check.is_empty());
         std::mem::swap(&mut self.release_check, &mut self.release_deferred);
-        if self.shard_active {
-            self.merge_woken_sharded();
-        } else {
-            self.merge_woken();
-        }
+        self.merge_woken();
         self.activity_injections(&mut events);
-        if self.shard_active {
-            self.sharded_next_hops();
-        } else {
-            self.activity_next_hops();
-        }
+        self.activity_next_hops();
         self.activity_transfer(&mut events);
         self.activity_release(&mut events);
         self.cycle += 1;
@@ -1442,23 +1148,11 @@ impl Network {
             // Activity engine: the new message is runnable (a same-cycle
             // no-op: its head VC fills only during this cycle's transfer),
             // and its freshly acquired VC may carry a flit this cycle.
-            // Appending keeps the queue id-sorted (ids are monotone); in
-            // sharded mode the slot joins the shard owning the first-hop
-            // channel's destination node — where its header will sit.
+            // Appending keeps the queue id-sorted (ids are monotone).
             if self.mode == StepMode::Activity {
                 self.alloc_state[slot as usize] = AllocState::Queued;
-                let ch = vc_idx as usize / self.cfg.vcs_per_channel;
-                if self.shard_active {
-                    let shard = self
-                        .shard_plan
-                        .as_ref()
-                        .expect("sharded step without a plan")
-                        .shard_of_chan_dst(ChannelId(ch as u32));
-                    self.shard_queues[shard].push(slot);
-                } else {
-                    self.alloc_queue.push(slot);
-                }
-                self.activate_channel(ch);
+                self.alloc_queue.push(slot);
+                self.activate_channel(vc_idx as usize / self.cfg.vcs_per_channel);
             }
         }
         InjectOutcome::Injected
@@ -1987,45 +1681,6 @@ impl Network {
         woken.clear();
     }
 
-    /// Sharded twin of [`Self::merge_woken`]: woken slots are bucketed by
-    /// the shard owning their header's node (fixed while parked — a
-    /// blocked header never moves), then each bucket merges into its
-    /// shard's queue. Global id sort first, so every bucket is id-sorted.
-    fn merge_woken_sharded(&mut self) {
-        if self.woken.is_empty() {
-            return;
-        }
-        let vcs_per = self.cfg.vcs_per_channel as u32;
-        let Self {
-            woken,
-            slot_id,
-            messages,
-            shard_plan,
-            shard_woken,
-            shard_queues,
-            alloc_scratch,
-            ..
-        } = self;
-        let plan = shard_plan.as_ref().expect("sharded step without a plan");
-        woken.sort_unstable_by_key(|&s| slot_id[s as usize]);
-        for &slot in woken.iter() {
-            let head = *messages[slot as usize]
-                .as_ref()
-                .expect("woken slot live")
-                .chain
-                .back()
-                .expect("woken message owns its head VC");
-            shard_woken[plan.shard_of_chan_dst(ChannelId(head / vcs_per))].push(slot);
-        }
-        woken.clear();
-        for (queue, bucket) in shard_queues.iter_mut().zip(shard_woken.iter_mut()) {
-            if !bucket.is_empty() {
-                merge_sorted_by_id(queue, bucket, alloc_scratch, slot_id);
-                bucket.clear();
-            }
-        }
-    }
-
     /// Activity allocation, injection half: only ready nodes attempt, in
     /// ascending node order (the dense scan's order).
     fn activity_injections(&mut self, events: &mut StepEvents) {
@@ -2103,83 +1758,6 @@ impl Network {
         queue.truncate(keep);
         debug_assert!(self.alloc_queue.is_empty());
         self.alloc_queue = queue;
-    }
-
-    /// Sharded allocation, routing half: each shard's id-sorted queue is
-    /// attempted in shard order. Equivalent to the serial global id order
-    /// because a header at node `n` contends only for resources of `n` —
-    /// the VCs of channels sourced there and `n`'s reception group — all
-    /// owned by `n`'s shard, so attempts in different shards can never
-    /// race for the same resource and reordering across shards changes no
-    /// outcome. Survivors whose (possibly new) head crossed a shard
-    /// boundary travel through the per-(src, dst) mailboxes and merge
-    /// back by id at the cycle barrier, keeping every queue id-sorted and
-    /// every message at one attempt per cycle.
-    fn sharded_next_hops(&mut self) {
-        let shards = self.shards;
-        let vcs_per = self.cfg.vcs_per_channel as u32;
-        for shard in 0..shards {
-            let mut queue = std::mem::take(&mut self.shard_queues[shard]);
-            let mut keep = 0;
-            for i in 0..queue.len() {
-                let slot = queue[i];
-                // A recovery pull between steps leaves a stale entry
-                // behind; it is dropped here before the slot can ever be
-                // recycled (every shard queue is walked every cycle).
-                if self.alloc_state[slot as usize] != AllocState::Queued {
-                    continue;
-                }
-                if self.attempt_next_hop(slot) {
-                    // Still runnable: the (possibly new) head decides
-                    // which shard attempts it next cycle.
-                    let head = *self.messages[slot as usize]
-                        .as_ref()
-                        .expect("queued slot live")
-                        .chain
-                        .back()
-                        .expect("routing message owns its head VC");
-                    let dst = self
-                        .shard_plan
-                        .as_ref()
-                        .expect("sharded step without a plan")
-                        .shard_of_chan_dst(ChannelId(head / vcs_per));
-                    if dst == shard {
-                        queue[keep] = slot;
-                        keep += 1;
-                    } else {
-                        self.shard_outboxes[shard * shards + dst].push(slot);
-                    }
-                }
-            }
-            queue.truncate(keep);
-            debug_assert!(self.shard_queues[shard].is_empty());
-            self.shard_queues[shard] = queue;
-        }
-        // Cycle barrier: drain every inbound mailbox into its target
-        // shard's queue in canonical shard-id order. Each input is
-        // id-sorted (queues by construction, outboxes because they are
-        // filled from an id-sorted walk), so the queues come out
-        // id-sorted; merge order cannot matter — ids are unique.
-        for dst in 0..shards {
-            for src in 0..shards {
-                if src == dst {
-                    continue;
-                }
-                let Self {
-                    shard_queues,
-                    shard_outboxes,
-                    alloc_scratch,
-                    slot_id,
-                    ..
-                } = self;
-                let inbox = &mut shard_outboxes[src * shards + dst];
-                if inbox.is_empty() {
-                    continue;
-                }
-                merge_sorted_by_id(&mut shard_queues[dst], inbox, alloc_scratch, slot_id);
-                inbox.clear();
-            }
-        }
     }
 
     /// One message's next-hop attempt (the body of the dense scan), plus
@@ -2425,89 +2003,7 @@ impl Network {
         // swap.
         std::mem::swap(&mut self.chan_words, &mut self.chan_scan);
 
-        if self.shard_active {
-            self.sharded_transfer(events, vcs_per, depth);
-        } else if !self.fault_mode && self.transfer_threads <= 1 {
-            self.fused_transfer(events, vcs_per, depth);
-        } else {
-            // Fault mode and the opt-in parallel path keep the two-pass
-            // shape: a pure decide pass over start-of-cycle state, then a
-            // canonical apply pass in ascending channel order. The fused
-            // serial walk above is the same computation with the apply
-            // inlined at each decision — legal because decisions read only
-            // start-of-cycle state (`occ_start`, per-channel `link_rr`,
-            // and `msg_uninjected`, which only the deciding VC's own move
-            // can touch), so no apply can influence a later decision.
-            // Fault-mode decide stays serial: the stall checks are cheap
-            // and faulted runs are rare.
-            let threads = if self.fault_mode {
-                1
-            } else {
-                self.transfer_threads.min(self.chan_scan.len()).max(1)
-            };
-            let mut bufs = std::mem::take(&mut self.xfer_bufs);
-            if bufs.len() < threads {
-                bufs.resize_with(threads, MoveBuf::default);
-            }
-            {
-                let ctx = TransferCtx {
-                    topo: &self.topo,
-                    occ_start: &self.occ_start,
-                    vc_owner: &self.vc_owner,
-                    vc_feed: &self.vc_feed,
-                    msg_uninjected: &self.msg_uninjected,
-                    owned_per_channel: &self.owned_per_channel,
-                    link_rr: &self.link_rr,
-                    stall_until: &self.stall_until,
-                    chan_scan: &self.chan_scan,
-                    fault_mode: self.fault_mode,
-                    cycle: self.cycle,
-                    vcs_per,
-                    depth,
-                };
-                let words = self.chan_scan.len();
-                if threads <= 1 {
-                    decide_transfers(&ctx, 0..words, &mut bufs[0]);
-                } else {
-                    // Fixed contiguous word-range partitions: partition
-                    // shape depends only on (words, threads), decisions
-                    // only on start-of-cycle state, and buffers are
-                    // applied in partition order — so the move sequence
-                    // is identical to the serial decide regardless of
-                    // thread count or scheduling.
-                    std::thread::scope(|s| {
-                        for (i, buf) in bufs.iter_mut().take(threads).enumerate() {
-                            let lo = i * words / threads;
-                            let hi = (i + 1) * words / threads;
-                            let ctx = &ctx;
-                            s.spawn(move || decide_transfers(ctx, lo..hi, buf));
-                        }
-                    });
-                }
-            }
-            // The scan set is consumed; hand back an all-zero side for the
-            // next swap.
-            self.chan_scan.fill(0);
-
-            // Apply: execute the decided moves in buffer order (ascending
-            // channel id), performing every state mutation the decisions
-            // imply. Identical regardless of how the decide pass was
-            // partitioned.
-            for slot in &mut bufs {
-                let mut buf = std::mem::take(slot);
-                for &ch in &buf.stalled {
-                    self.activate_channel(ch as usize);
-                }
-                buf.stalled.clear();
-                for k in 0..buf.moves.len() {
-                    let Move { v, owner, prev } = buf.moves[k];
-                    self.apply_move(v, owner, prev, vcs_per, events);
-                }
-                buf.moves.clear();
-                *slot = buf;
-            }
-            self.xfer_bufs = bufs;
-        }
+        self.transfer_walk(events, vcs_per, depth);
 
         // Ejection and recovery drains: one flit per cycle per message.
         // `drain_head[k]` caches the head VC of `drain_list[k]` (fixed
@@ -2542,103 +2038,20 @@ impl Network {
         }
     }
 
-    /// Sharded transfer: the pure decide pass runs one partition per
-    /// shard over that shard's contiguous channel range (masked at the
-    /// sub-word boundaries), fanned over scoped threads when the host has
-    /// spare cores and inline otherwise — the decide partitions, and
-    /// therefore the buffers, are identical either way. The apply pass
-    /// then drains the per-shard buffers in shard-id order, which *is*
-    /// ascending channel order: the same canonical apply sequence as
-    /// every other transfer path, and the transfer half of the "mailboxes
-    /// drained in canonical shard-id × channel-id order" barrier
-    /// contract.
-    fn sharded_transfer(&mut self, events: &mut StepEvents, vcs_per: usize, depth: u16) {
-        debug_assert!(!self.fault_mode, "sharded runs are fault-free");
-        let shards = self.shards;
-        let mut bufs = std::mem::take(&mut self.xfer_bufs);
-        if bufs.len() < shards {
-            bufs.resize_with(shards, MoveBuf::default);
-        }
-        {
-            let plan = self
-                .shard_plan
-                .as_ref()
-                .expect("sharded step without a plan");
-            let ctx = TransferCtx {
-                topo: &self.topo,
-                occ_start: &self.occ_start,
-                vc_owner: &self.vc_owner,
-                vc_feed: &self.vc_feed,
-                msg_uninjected: &self.msg_uninjected,
-                owned_per_channel: &self.owned_per_channel,
-                link_rr: &self.link_rr,
-                stall_until: &self.stall_until,
-                chan_scan: &self.chan_scan,
-                fault_mode: false,
-                cycle: self.cycle,
-                vcs_per,
-                depth,
-            };
-            let workers = self.shard_workers;
-            if workers > 1 {
-                // Contiguous blocks of shards per worker: the thread
-                // layout affects only who fills which buffer, never what
-                // the buffers contain.
-                std::thread::scope(|sc| {
-                    let mut rest = &mut bufs[..shards];
-                    let mut base = 0usize;
-                    for j in 0..workers {
-                        let n = (j + 1) * shards / workers - j * shards / workers;
-                        let (chunk, tail) = rest.split_at_mut(n);
-                        rest = tail;
-                        let ctx = &ctx;
-                        sc.spawn(move || {
-                            for (k, buf) in chunk.iter_mut().enumerate() {
-                                decide_transfers_masked(ctx, plan.chan_range(base + k), buf);
-                            }
-                        });
-                        base += n;
-                    }
-                });
-            } else {
-                for (shard, buf) in bufs.iter_mut().take(shards).enumerate() {
-                    decide_transfers_masked(&ctx, plan.chan_range(shard), buf);
-                }
-            }
-        }
-        // The scan set is consumed; hand back an all-zero side for the
-        // next swap.
-        self.chan_scan.fill(0);
-
-        // Apply in shard order = ascending channel order.
-        for slot in &mut bufs {
-            let mut buf = std::mem::take(slot);
-            debug_assert!(buf.stalled.is_empty(), "no stalls without faults");
-            for k in 0..buf.moves.len() {
-                let Move { v, owner, prev } = buf.moves[k];
-                self.apply_move(v, owner, prev, vcs_per, events);
-            }
-            buf.moves.clear();
-            *slot = buf;
-        }
-        self.xfer_bufs = bufs;
-    }
-
-    /// Serial fused decide+apply transfer walk (non-fault fast path): one
-    /// ascending pass over the active-channel words, applying each move as
-    /// it is decided. Byte-identical to decide-then-apply because apply
-    /// mutations never reach a later decision's inputs: decisions read
-    /// `occ_start` (patched next cycle), `link_rr[ch]` (written only by
-    /// channel `ch`'s own move, after its decision), and
-    /// `msg_uninjected[owner]` (read only at the owner's unique chain
-    /// front), while activations land in the accumulating bitset, not the
-    /// scan side.
-    fn fused_transfer(&mut self, events: &mut StepEvents, vcs_per: usize, depth: u16) {
-        // Destructured field borrows: indexed stores through one slice
-        // provably cannot clobber another slice's header, so the pointers
-        // stay in registers across the walk (through `&mut self` every
-        // heap store would force header reloads).
+    /// The transfer walk: one ascending pass over the active-channel
+    /// words, deciding each channel's move and applying it on the spot.
+    /// Applying inline is exact because no apply reaches a later
+    /// decision's inputs: decisions read `occ_start` (patched next cycle),
+    /// `link_rr[ch]` (written only by channel `ch`'s own move, after its
+    /// decision), `msg_uninjected[owner]` (read only at the owner's unique
+    /// chain front) and `stall_until` (changed only at start of cycle),
+    /// while activations land in the accumulating bitset, not the scan
+    /// side.
+    fn transfer_walk(&mut self, events: &mut StepEvents, vcs_per: usize, depth: u16) {
         let Self {
+            topo,
+            stall_until,
+            fault_mode,
             chan_scan,
             chan_words,
             owned_per_channel,
@@ -2658,7 +2071,7 @@ impl Network {
             cycle,
             ..
         } = self;
-        let cycle = *cycle;
+        let (cycle, fault_mode) = (*cycle, *fault_mode);
         for (w, slot) in chan_scan.iter_mut().enumerate() {
             let mut word = *slot;
             if word == 0 {
@@ -2670,6 +2083,12 @@ impl Network {
                 let ch = wbase + word.trailing_zeros() as usize;
                 word &= word - 1;
                 if owned_per_channel[ch] == 0 {
+                    continue;
+                }
+                if fault_mode && cycle < stall_until[topo.channel(ChannelId(ch as u32)).src.idx()] {
+                    // Frozen sender: nothing moves, but pending movement
+                    // must survive the stall — keep the channel active.
+                    chan_words[ch >> 6] |= 1 << (ch & 63);
                     continue;
                 }
                 let base = ch * vcs_per;
@@ -2699,10 +2118,9 @@ impl Network {
                     if !moved {
                         continue;
                     }
-                    // Apply inline — MUST stay in lockstep with
-                    // `apply_move` (the fault/parallel two-pass path);
-                    // the differential and parallel-digest suites pin
-                    // the equivalence.
+                    // Apply: the served link stays active (round-robin
+                    // fairness), the fed VC may now feed its successor,
+                    // and the drained upstream VC regained space.
                     vc_occ[v] += 1;
                     occ_dirty_words[v >> 6] |= 1 << (v & 63);
                     events.link_flits += 1;
@@ -2748,66 +2166,6 @@ impl Network {
                     }
                     break;
                 }
-            }
-        }
-    }
-
-    /// Executes one decided transfer: flit enters `v`, leaves `prev` (or
-    /// the source when `prev == FROM_SOURCE`), with every activation and
-    /// release trigger the movement implies. Shared verbatim by the fused
-    /// serial walk and the two-pass apply loop so the paths cannot drift.
-    #[inline]
-    fn apply_move(
-        &mut self,
-        v: u32,
-        owner: u32,
-        prev: u32,
-        vcs_per: usize,
-        events: &mut StepEvents,
-    ) {
-        let vi = v as usize;
-        let ch = self.vc_chan[vi] as usize;
-        self.vc_occ[vi] += 1;
-        self.mark_occ_dirty(v);
-        events.link_flits += 1;
-        let next_rr = vi - ch * vcs_per + 1;
-        self.link_rr[ch] = if next_rr == vcs_per { 0 } else { next_rr } as u8;
-        // The served link stays active (round-robin fairness); the
-        // fed VC may now feed its chain successor; the drained
-        // upstream VC regained buffer space.
-        self.activate_channel(ch);
-        let succ = self.vc_next[vi];
-        if succ != NO_OWNER {
-            self.activate_channel(self.vc_chan[succ as usize] as usize);
-        }
-        if prev == FROM_SOURCE {
-            let u = &mut self.msg_uninjected[owner as usize];
-            *u -= 1;
-            if *u == 0 {
-                // The injection channel frees — but the dense release
-                // phase scans the start-of-cycle active set, so a
-                // message injected *this* cycle (len 1) is only
-                // visited next cycle.
-                let injected_now = self.messages[owner as usize]
-                    .as_ref()
-                    .expect("owner live")
-                    .injected_at
-                    == self.cycle;
-                if !injected_now {
-                    self.mark_release(owner);
-                } else if !self.release_flag[owner as usize] {
-                    self.release_flag[owner as usize] = true;
-                    self.release_deferred.push(owner);
-                }
-            }
-        } else {
-            let p = prev as usize;
-            self.vc_occ[p] -= 1;
-            self.mark_occ_dirty(prev);
-            self.activate_channel(self.vc_chan[p] as usize);
-            if self.vc_occ[p] == 0 {
-                // Tail release may now be possible.
-                self.mark_release(owner);
             }
         }
     }
@@ -3050,52 +2408,12 @@ impl Network {
         assert_eq!(total_entries, total_watches, "stale wake-list entries");
 
         // Every queued routing message appears exactly once across the
-        // allocation queue (or the per-shard queues), and the woken
-        // buffer.
+        // allocation queue and the woken buffer.
         let mut queued_seen = vec![0u32; self.messages.len()];
-        for &s in self
-            .alloc_queue
-            .iter()
-            .chain(self.shard_queues.iter().flatten())
-            .chain(self.woken.iter())
-        {
+        for &s in self.alloc_queue.iter().chain(self.woken.iter()) {
             assert!(self.messages[s as usize].is_some(), "dead slot queued");
             if self.alloc_state[s as usize] == AllocState::Queued {
                 queued_seen[s as usize] += 1;
-            }
-        }
-        // Sharded scheduling: queues id-sorted, every queued entry in the
-        // shard owning its header's node, and all barrier scratch drained.
-        if let Some(plan) = &self.shard_plan {
-            for (shard, queue) in self.shard_queues.iter().enumerate() {
-                for w in queue.windows(2) {
-                    assert!(
-                        self.slot_id[w[0] as usize] < self.slot_id[w[1] as usize],
-                        "shard queue {shard} out of id order"
-                    );
-                }
-                for &s in queue {
-                    if self.alloc_state[s as usize] != AllocState::Queued {
-                        continue;
-                    }
-                    let msg = self.messages[s as usize].as_ref().unwrap();
-                    let &head = msg.chain.back().expect("queued message owns its head VC");
-                    assert_eq!(
-                        plan.shard_of_chan_dst(ChannelId(head / vcs_per as u32)),
-                        shard,
-                        "message {} queued in the wrong shard",
-                        msg.id
-                    );
-                }
-            }
-            for outbox in &self.shard_outboxes {
-                assert!(
-                    outbox.is_empty(),
-                    "migration mailboxes drain at the barrier"
-                );
-            }
-            for bucket in &self.shard_woken {
-                assert!(bucket.is_empty(), "woken buckets drain at the merge");
             }
         }
         for &s in &self.inj_ready {
@@ -3312,11 +2630,6 @@ impl Network {
             );
         }
 
-        // Transfer decide/apply buffers fully drained between steps.
-        for buf in &self.xfer_bufs {
-            assert!(buf.moves.is_empty() && buf.stalled.is_empty());
-        }
-
         // Release work queue fully drained between steps; only deferred
         // visits (injection completed within the injection cycle) carry
         // over, and the flags mark exactly those slots.
@@ -3340,8 +2653,7 @@ impl Network {
 }
 
 /// Merges id-sorted `add` into the id-sorted `queue` (two-pointer merge
-/// through `scratch`); `add` is left untouched. Shared by the serial and
-/// sharded woken-merges and by the sharded allocation barrier.
+/// through `scratch`); `add` is left untouched.
 fn merge_sorted_by_id(queue: &mut Vec<u32>, add: &[u32], scratch: &mut Vec<u32>, slot_id: &[u64]) {
     let id_of = |s: u32| slot_id[s as usize];
     scratch.clear();

@@ -30,7 +30,7 @@ use crate::message::MsgPhase;
 use crate::network::{compute_candidates, ctx_of, Network, NO_OWNER};
 use crate::MessageId;
 use icn_routing::Candidate;
-use icn_topology::{ChannelId, ShardPlan};
+use icn_topology::ChannelId;
 
 /// One drained wait-state change for a message id: its fresh blocked
 /// record, or the fact that it is no longer blocked (delivered, moving,
@@ -215,104 +215,6 @@ impl SnapshotArena {
         self.blocked = 0;
         self.fingerprint = 0;
     }
-
-    /// Rebuilds the arena from per-shard fragments, exactly as if
-    /// [`Network::wait_snapshot_into`] had captured the whole network
-    /// serially.
-    ///
-    /// Fragments partition the messages by the shard owning each header's
-    /// router, and every fragment is internally id-sorted, so a k-way merge
-    /// by id restores the global capture order while each record's pool
-    /// slice is copied verbatim (rebased to the arena pool). The blocked
-    /// fingerprint is a commutative sum of per-message hashes, so the
-    /// fragments' partial sums combine in any order; the population fold —
-    /// applied exactly once here — then matches the serial path bit for
-    /// bit.
-    pub fn assemble(&mut self, frags: &[SnapshotFragment]) {
-        assert!(!frags.is_empty(), "assemble needs at least one fragment");
-        debug_assert!(
-            frags
-                .iter()
-                .all(|f| f.num_vertices == frags[0].num_vertices && f.cycle == frags[0].cycle),
-            "fragments from different captures"
-        );
-        self.clear(frags[0].num_vertices, frags[0].cycle);
-        let mut heads = vec![0usize; frags.len()];
-        loop {
-            let mut best: Option<(MessageId, usize)> = None;
-            for (f, frag) in frags.iter().enumerate() {
-                if let Some(r) = frag.records.get(heads[f]) {
-                    if best.is_none_or(|(id, _)| r.id < id) {
-                        best = Some((r.id, f));
-                    }
-                }
-            }
-            let Some((_, f)) = best else { break };
-            let r = frags[f].records[heads[f]];
-            heads[f] += 1;
-            let s = r.start as usize;
-            let e = s + (r.chain_len + r.req_len) as usize;
-            let start = self.pool.len() as u32;
-            self.pool.extend_from_slice(&frags[f].pool[s..e]);
-            self.records.push(ArenaRecord { start, ..r });
-        }
-        for frag in frags {
-            self.blocked += frag.blocked;
-            self.fingerprint = self.fingerprint.wrapping_add(frag.partial_fingerprint);
-        }
-        self.fingerprint ^=
-            mix((self.blocked as u64) << 32 ^ self.num_vertices as u64 ^ 0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-/// One shard's slice of a wait-for snapshot: the messages whose header
-/// sits at a router owned by that shard, in id order, with the same
-/// settled-chain/request semantics as the full arena.
-///
-/// Fragments are filled independently — [`Network::wait_snapshot_fragment`]
-/// takes `&Network` — so the detection loop can capture all shards on
-/// scoped threads and then stitch them back together with
-/// [`SnapshotArena::assemble`]. `partial_fingerprint` is the shard's sum of
-/// per-blocked-message hashes *without* the population fold, which only the
-/// assembled arena can apply.
-#[derive(Clone, Debug, Default)]
-pub struct SnapshotFragment {
-    num_vertices: usize,
-    cycle: u64,
-    shard: usize,
-    pool: Vec<u32>,
-    records: Vec<ArenaRecord>,
-    blocked: usize,
-    partial_fingerprint: u64,
-    cand_buf: Vec<Candidate>,
-    order_buf: Vec<u32>,
-}
-
-impl SnapshotFragment {
-    /// An empty fragment; capacities grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of messages this fragment captured on its last fill.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the last fill captured no messages for this shard.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Number of blocked messages this fragment captured on its last fill.
-    pub fn num_blocked(&self) -> usize {
-        self.blocked
-    }
-
-    /// The shard this fragment was last filled for.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
 }
 
 impl Network {
@@ -325,94 +227,18 @@ impl Network {
 
     /// Refills `arena` with a wait-for snapshot of the current state,
     /// reusing its storage (no allocation once capacities have warmed up).
+    /// Messages are captured in ascending id order.
     pub fn wait_snapshot_into(&self, arena: &mut SnapshotArena) {
         arena.clear(self.wait_vertex_count(), self.cycle);
-        let mut cand_buf = std::mem::take(&mut arena.cand_buf);
-        let mut order_buf = std::mem::take(&mut arena.order_buf);
-        let (blocked, partial) = self.fill_wait_state(
-            None,
-            &mut arena.pool,
-            &mut arena.records,
-            &mut cand_buf,
-            &mut order_buf,
-        );
-        arena.blocked = blocked;
-        // Fold in the population so e.g. "no blocked messages" epochs at
-        // different vertex counts never alias.
-        arena.fingerprint = partial
-            ^ mix((blocked as u64) << 32 ^ arena.num_vertices as u64 ^ 0x9e37_79b9_7f4a_7c15);
-        arena.cand_buf = cand_buf;
-        arena.order_buf = order_buf;
-    }
-
-    /// Refills `frag` with `shard`'s slice of the wait-for snapshot: the
-    /// messages whose header sits at a router owned by `shard` under the
-    /// network's current [`ShardPlan`].
-    ///
-    /// Takes `&self`, so all shards can be captured concurrently on scoped
-    /// threads; [`SnapshotArena::assemble`] then reproduces the serial
-    /// [`wait_snapshot_into`](Self::wait_snapshot_into) result exactly.
-    /// Panics if no shard plan is installed (see `set_shards`).
-    pub fn wait_snapshot_fragment(&self, shard: usize, frag: &mut SnapshotFragment) {
-        let plan = self
-            .shard_plan()
-            .expect("wait_snapshot_fragment requires a shard plan");
-        frag.num_vertices = self.wait_vertex_count();
-        frag.cycle = self.cycle;
-        frag.shard = shard;
-        frag.pool.clear();
-        frag.records.clear();
-        let (blocked, partial) = self.fill_wait_state(
-            Some((shard, plan)),
-            &mut frag.pool,
-            &mut frag.records,
-            &mut frag.cand_buf,
-            &mut frag.order_buf,
-        );
-        frag.blocked = blocked;
-        frag.partial_fingerprint = partial;
-    }
-
-    /// Total CWG vertex count (VCs plus reception channels).
-    pub fn wait_vertex_count(&self) -> usize {
-        self.topo.num_channels() * self.vcs_per() + self.topo.num_nodes() * self.reception_per_node
-    }
-
-    /// Shared capture body for the serial arena fill and the per-shard
-    /// fragment fill. Appends each captured message's chain+requests to
-    /// `pool` with a matching record, in ascending id order; when `shard`
-    /// is `Some`, only messages whose header router belongs to that shard
-    /// are captured. Returns `(blocked count, partial fingerprint)` — the
-    /// commutative per-message hash sum *without* the population fold.
-    fn fill_wait_state(
-        &self,
-        shard: Option<(usize, &ShardPlan)>,
-        pool: &mut Vec<u32>,
-        records: &mut Vec<ArenaRecord>,
-        cand_buf: &mut Vec<Candidate>,
-        order_buf: &mut Vec<u32>,
-    ) -> (usize, u64) {
-        let vcs_per = self.vcs_per();
+        let SnapshotArena {
+            pool,
+            records,
+            cand_buf,
+            order_buf,
+            ..
+        } = arena;
         order_buf.clear();
-        match shard {
-            None => order_buf.extend_from_slice(&self.active),
-            Some((s, plan)) => {
-                // A message belongs to the shard owning its header's
-                // router — the same ownership rule the sharded scheduler
-                // allocates by. Chainless (fully draining) messages own no
-                // CWG vertex and are skipped in the main loop anyway.
-                order_buf.extend(self.active.iter().copied().filter(|&slot| {
-                    self.messages[slot as usize]
-                        .as_ref()
-                        .expect("active slot")
-                        .chain
-                        .back()
-                        .is_some_and(|&vc| {
-                            plan.shard_of_chan_dst(ChannelId(vc / vcs_per as u32)) == s
-                        })
-                }));
-            }
-        }
+        order_buf.extend_from_slice(&self.active);
         order_buf.sort_unstable_by_key(|&s| self.slot_id[s as usize]);
 
         let mut blocked_count = 0usize;
@@ -464,7 +290,16 @@ impl Network {
                 partial = partial.wrapping_add(mix(h));
             }
         }
-        (blocked_count, partial)
+        arena.blocked = blocked_count;
+        // Fold in the population so e.g. "no blocked messages" epochs at
+        // different vertex counts never alias.
+        arena.fingerprint = partial
+            ^ mix((blocked_count as u64) << 32 ^ arena.num_vertices as u64 ^ 0x9e37_79b9_7f4a_7c15);
+    }
+
+    /// Total CWG vertex count (VCs plus reception channels).
+    pub fn wait_vertex_count(&self) -> usize {
+        self.topo.num_channels() * self.vcs_per() + self.topo.num_nodes() * self.reception_per_node
     }
 
     /// Appends the wait record of the (routing, blocked) message in `slot`
@@ -541,11 +376,6 @@ impl Network {
     /// treat a re-sent unchanged record or a `Clear` for an untracked id
     /// as a no-op (both are, for [`icn_cwg::DynamicWaitGraph`]'s
     /// stage/commit API).
-    ///
-    /// Sharded runs need no special handling: allocation (the only phase
-    /// that toggles `blocked`) runs serially at the cycle barrier even when
-    /// transfers are sharded, so one global dirty list sees every event in
-    /// canonical order.
     pub fn drain_wait_updates(&mut self, mut sink: impl FnMut(MessageId, WaitUpdate<'_>)) {
         debug_assert!(self.wait_tracking, "drain without enable_wait_tracking");
         if self.wait_dirty_all {

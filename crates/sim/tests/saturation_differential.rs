@@ -1,5 +1,5 @@
 //! Saturation-focused differential: the activity stepper's hot path (the
-//! fused bitset transfer walk, drain-head cache, and frozen candidate
+//! bitset transfer walk, drain-head cache, and frozen candidate
 //! reuse) earns its keep above saturation — which is exactly where a
 //! missed wake, a stale cached head, or a reordered move would surface.
 //! Every case here offers traffic faster than the network can drain it
@@ -164,7 +164,10 @@ fn golden_regimes_agree_above_saturation() {
 
 /// A `random_plan`-shaped fault schedule (transient link outages, a
 /// permanent kill, a router stall, an injector outage) on the canonical
-/// wedging golden, above saturation.
+/// wedging golden, above saturation. One extra stall freezes a router
+/// while its outgoing VCs hold movable flits, so the transfer walk's
+/// stalled-sender branch (move nothing, keep the channel active) runs
+/// under per-cycle comparison with the reference.
 #[test]
 fn faulted_golden_agrees_above_saturation() {
     let g = &goldens()[0];
@@ -173,7 +176,7 @@ fn faulted_golden_agrees_above_saturation() {
     let horizon = 700u64;
     let mut r = Rng(0xfa17_fa17);
     let lo = horizon / 10;
-    let mut at = |r: &mut Rng| lo + r.below(horizon - lo);
+    let at = |r: &mut Rng| lo + r.below(horizon - lo);
     let mut plan = FaultPlan::new();
     for _ in 0..3 {
         let ch = r.below(channels) as u32;
@@ -184,6 +187,9 @@ fn faulted_golden_agrees_above_saturation() {
     plan.link_kill(at(&mut r), r.below(channels) as u32);
     plan.node_stall(at(&mut r), r.below(nodes) as u32, 1 + r.below(horizon / 20));
     plan.injector_down(at(&mut r), r.below(nodes) as u32, 1 + r.below(horizon / 20));
+    // The golden wedges by about cycle 30; at cycle 15 router 9's two
+    // outgoing channels still carry worms with movable flits.
+    plan.node_stall(15, 9, 25);
     plan.validate(channels as usize, nodes as usize);
     saturated_case(g, &plan, 0xfau64 << 8, horizon);
 }

@@ -23,12 +23,10 @@
 mod coords;
 mod ids;
 mod karyncube;
-mod shard;
 
 pub use coords::Coords;
 pub use ids::{ChannelId, Direction, NodeId};
 pub use karyncube::{ChannelInfo, KAryNCube, RoutingOffset};
-pub use shard::{shard_stream_seed, ShardPlan};
 
 /// Maximum supported number of dimensions.
 ///

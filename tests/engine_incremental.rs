@@ -5,8 +5,7 @@
 //! both steppers, through recovery pulls, and across fault transitions.
 //! At the run level, [`flexsim::DetectionMode::Incremental`] must produce
 //! [`RunResult::digest`]s byte-identical to snapshot mode on every golden
-//! regime, under armed fault plans, at every-cycle epochs, and (with the
-//! `parallel` feature) on the sharded engine.
+//! regime, under armed fault plans, and at every-cycle epochs.
 //!
 //! [`RunResult::digest`]: flexsim::RunResult::digest
 
@@ -232,35 +231,6 @@ fn formation_cycles_are_identical_and_causal() {
         .zip(inc.forensic_incidents.iter())
     {
         assert_eq!(a.formation_cycle, b.formation_cycle);
-    }
-}
-
-#[cfg(feature = "parallel")]
-mod sharded {
-    use super::*;
-
-    /// Sharded stepping allocates serially at the cycle barrier, so the
-    /// one global dirty list feeds the same incremental stream; digests
-    /// must match the flat snapshot engine at 4 shards.
-    #[test]
-    fn incremental_is_digest_identical_at_four_shards() {
-        let mut points = golden_saturated_points();
-        points.truncate(2);
-        for base in points {
-            let mut flat = base.clone();
-            flat.shards = 1;
-            flat.detection = DetectionMode::Snapshot;
-            let want = run(&flat).digest();
-            let mut inc = base.clone();
-            inc.shards = 4;
-            inc.detection = DetectionMode::Incremental;
-            assert_eq!(
-                run(&inc).digest(),
-                want,
-                "sharded incremental diverged for {}",
-                inc.label()
-            );
-        }
     }
 }
 

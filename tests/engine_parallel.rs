@@ -1,23 +1,13 @@
-//! Parallel-decide determinism: with the `parallel` cargo feature, the
-//! engine may fan the transfer-decision pass out over scoped threads
-//! ([`icn_sim::Network::set_transfer_threads`]); the decided moves are
-//! applied serially in canonical order, so a run must be byte-identical
-//! — [`flexsim::RunResult::digest`] equality — at any thread count.
-//!
-//! The proof points are the four golden figures at small scale
-//! ([`flexsim::experiments`] fig5–fig8), taken at their saturated loads
-//! (where per-cycle decide work, and therefore reordering opportunity,
-//! peaks), each run at 1, 2, and 4 decide partitions.
-//!
-//! Without the feature the thread knob is a documented no-op; the
-//! clamp test below covers that, and the multi-thread suite compiles
-//! away (`cargo test --features parallel` runs it).
+//! The retired transfer-thread knob: the engine has one serial transfer
+//! walk, and [`flexsim::RunConfig::transfer_threads`] survives only as an
+//! ignored field, so setting it must leave every result byte-identical —
+//! [`flexsim::RunResult::digest`] equality.
 
 use flexsim::experiments::{fig5, fig6, fig7, fig8, Scale};
 use flexsim::{run, RunConfig};
 
 /// The saturated (load ≥ 1.0) points of each golden figure: one per
-/// curve, the densest decide traffic the goldens produce.
+/// curve, the densest transfer traffic the goldens produce.
 fn golden_saturated_points() -> Vec<RunConfig> {
     [fig5, fig6, fig7, fig8]
         .iter()
@@ -26,8 +16,6 @@ fn golden_saturated_points() -> Vec<RunConfig> {
         .collect()
 }
 
-/// The knob must be inert when the feature is off (and harmless when
-/// on): requesting threads on a serial build changes nothing.
 #[test]
 fn thread_knob_is_digest_neutral_on_any_build() {
     let mut cfg = RunConfig::small_default();
@@ -39,48 +27,8 @@ fn thread_knob_is_digest_neutral_on_any_build() {
     assert_eq!(run(&cfg).digest(), baseline);
 }
 
-#[cfg(feature = "parallel")]
-#[test]
-fn parallel_decide_is_digest_identical_on_goldens() {
-    let points = golden_saturated_points();
-    assert!(
-        points.len() >= 4,
-        "expected saturated points in every golden"
-    );
-    for base in points {
-        let mut serial = base.clone();
-        serial.transfer_threads = 1;
-        let want = run(&serial).digest();
-        for threads in [2, 4] {
-            let mut cfg = base.clone();
-            cfg.transfer_threads = threads;
-            assert_eq!(
-                run(&cfg).digest(),
-                want,
-                "digest diverged at {threads} decide threads for {}",
-                cfg.label()
-            );
-        }
-    }
-}
-
-/// Fault-mode runs always decide serially; a faulted config with the
-/// thread knob set must still match its serial self exactly.
-#[cfg(feature = "parallel")]
-#[test]
-fn faulted_runs_ignore_thread_knob() {
-    let mut cfg = RunConfig::small_default();
-    cfg.warmup = 200;
-    cfg.measure = 800;
-    cfg.load = 1.0;
-    cfg.faults = flexsim::faults::random_plan(&cfg.topology, 1_000, 17);
-    let want = run(&cfg).digest();
-    cfg.transfer_threads = 4;
-    assert_eq!(run(&cfg).digest(), want);
-}
-
-// Keep the helper referenced on serial builds too.
-#[cfg(not(feature = "parallel"))]
+/// Every golden figure keeps a saturated point: the regime where the
+/// transfer walk does the most work per cycle.
 #[test]
 fn golden_saturated_points_exist() {
     assert!(golden_saturated_points().len() >= 4);

@@ -1,34 +1,10 @@
-//! Shard-count invariance: the spatially sharded engine
-//! ([`icn_sim::Network::set_shards`], plumbed through
-//! [`flexsim::RunConfig::shards`]) partitions the network into contiguous
-//! node ranges that step concurrently inside each cycle and exchange
-//! boundary traffic at the barrier in canonical shard × channel order —
-//! so [`flexsim::RunResult::digest`] must be byte-identical at any shard
-//! count: 1, 2, 4, and 8 shards, on every golden regime, with recovery
-//! pulls, under an armed fault plan (where stepping falls back to the
-//! serial scheduler but snapshots still assemble from per-shard
-//! fragments), and across a sweep checkpoint/resume.
-//!
-//! Without the `parallel` feature the knob clamps to 1 and reports it —
-//! the satellite fix for the silently-absorbed `transfer_threads`
-//! downgrade — which the clamp tests below pin on serial builds.
+//! The retired shard knob: the engine is not sharded, and
+//! [`flexsim::RunConfig::shards`] survives only as an ignored field, so
+//! setting it must leave every result byte-identical —
+//! [`flexsim::RunResult::digest`] equality.
 
-use flexsim::experiments::{fig5, fig6, fig7, fig8, Scale};
 use flexsim::{run, RunConfig};
 
-/// The saturated (load ≥ 1.0) points of each golden figure — the densest
-/// allocation/transfer traffic and the only regimes with steady deadlock
-/// recovery churn.
-fn golden_saturated_points() -> Vec<RunConfig> {
-    [fig5, fig6, fig7, fig8]
-        .iter()
-        .flat_map(|f| f(Scale::Small).configs)
-        .filter(|c| c.load >= 1.0)
-        .collect()
-}
-
-/// The knob must be inert when the feature is off (and digest-neutral
-/// when on): requesting shards on a serial build changes nothing.
 #[test]
 fn shard_knob_is_digest_neutral_on_any_build() {
     let mut cfg = RunConfig::small_default();
@@ -38,140 +14,4 @@ fn shard_knob_is_digest_neutral_on_any_build() {
     let baseline = run(&cfg).digest();
     cfg.shards = 4;
     assert_eq!(run(&cfg).digest(), baseline);
-}
-
-/// Without the feature, `set_shards` must *say* it clamped instead of
-/// silently running flat — same contract as `set_transfer_threads`.
-#[cfg(not(feature = "parallel"))]
-#[test]
-fn serial_build_reports_the_shard_downgrade() {
-    use icn_sim::{Network, SimConfig};
-    use icn_topology::KAryNCube;
-    let mut net = Network::new(
-        KAryNCube::torus(4, 2, true),
-        Box::new(icn_routing::Dor),
-        SimConfig::default(),
-    );
-    assert_eq!(net.set_shards(8), 1, "serial build must clamp and say so");
-    assert_eq!(net.set_transfer_threads(8), 1);
-    assert!(net.shard_plan().is_none());
-}
-
-#[cfg(feature = "parallel")]
-mod sharded {
-    use super::*;
-    use flexsim::{sweep, sweep_supervised, SweepOptions};
-    use proptest::prelude::*;
-
-    #[test]
-    fn sharded_run_is_digest_identical_on_goldens() {
-        let points = golden_saturated_points();
-        assert!(
-            points.len() >= 4,
-            "expected saturated points in every golden"
-        );
-        for base in points {
-            let mut serial = base.clone();
-            serial.shards = 1;
-            let want = run(&serial).digest();
-            for shards in [2, 4, 8] {
-                let mut cfg = base.clone();
-                cfg.shards = shards;
-                assert_eq!(
-                    run(&cfg).digest(),
-                    want,
-                    "digest diverged at {shards} shards for {}",
-                    cfg.label()
-                );
-            }
-        }
-    }
-
-    /// Armed fault plans force the serial scheduler (fault checks are
-    /// defined in global id order), but the shard plan stays installed and
-    /// detection epochs still go through fragment assembly — the run must
-    /// match its flat self exactly.
-    #[test]
-    fn faulted_runs_with_shards_match_serial() {
-        let mut cfg = RunConfig::small_default();
-        cfg.warmup = 200;
-        cfg.measure = 800;
-        cfg.load = 1.0;
-        cfg.faults = flexsim::faults::random_plan(&cfg.topology, 1_000, 17);
-        let want = run(&cfg).digest();
-        for shards in [2, 4, 8] {
-            cfg.shards = shards;
-            assert_eq!(
-                run(&cfg).digest(),
-                want,
-                "faulted digest diverged at {shards} shards"
-            );
-        }
-    }
-
-    /// Interrupt-and-resume with sharded configs: a checkpoint written
-    /// mid-sweep by a sharded invocation must resume into the same bytes
-    /// the flat engine produces.
-    #[test]
-    fn sharded_sweep_checkpoint_resume_is_digest_exact() {
-        let mut configs = golden_saturated_points();
-        configs.truncate(2);
-        for c in &mut configs {
-            c.warmup = 200;
-            c.measure = 600;
-            c.shards = 4;
-        }
-        let dir = std::env::temp_dir().join(format!(
-            "icn-shard-ckpt-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        let opts = SweepOptions {
-            checkpoint: Some(path.clone()),
-            ..SweepOptions::default()
-        };
-        // First pass: only the first config reaches the checkpoint.
-        let first = sweep_supervised(&configs[..1], &opts);
-        assert!(first[0].is_ok());
-
-        // Resume over the full set, then compare against flat solo runs.
-        let resumed = sweep_supervised(&configs, &opts);
-        let flat: Vec<_> = configs
-            .iter()
-            .map(|c| {
-                let mut f = c.clone();
-                f.shards = 1;
-                f
-            })
-            .collect();
-        for (r, f) in resumed.iter().zip(sweep(&flat).iter()) {
-            assert_eq!(
-                r.as_ref().unwrap().digest(),
-                f.digest(),
-                "sharded resume diverged from the flat engine"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// Randomized configurations (the validation campaign's generator:
-        /// varied topology, routing, VCs, buffers, pattern, recovery
-        /// policy) stay digest-identical at a random shard count.
-        #[test]
-        fn random_configs_are_shard_invariant(seed in any::<u64>()) {
-            let mut cfg = flexsim::validate::random_config(seed);
-            cfg.warmup = 150;
-            cfg.measure = 450;
-            let want = run(&cfg).digest();
-            cfg.shards = 2 + (seed % 7) as usize;
-            prop_assert_eq!(run(&cfg).digest(), want);
-        }
-    }
 }

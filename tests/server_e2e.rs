@@ -159,11 +159,10 @@ fn http_grid_matches_direct_sweep_and_resubmission_hits_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Shard counts must not fragment the content-addressed cache: the
-/// engine is digest-identical at any shard count, so a grid resubmitted
-/// at different `shards` settings is answered entirely from cache. This
-/// holds on serial builds too — the normalization is config-level, not
-/// engine-level.
+/// The retired `shards` / `transfer_threads` knobs must not fragment the
+/// content-addressed cache: the engine ignores them and the canonical
+/// config text renders both as 1, so a grid resubmitted with old values
+/// set is answered entirely from cache.
 #[test]
 fn resubmission_at_different_shard_counts_hits_cache() {
     let dir = temp_dir("shards");
@@ -171,15 +170,15 @@ fn resubmission_at_different_shard_counts_hits_cache() {
     let n = grid.expand().len();
     let (addr, handle) = start_server(&dir, 3);
 
-    // Round 1: flat engine, everything simulates.
+    // Round 1: default knobs, everything simulates.
     let id = submit(addr, &grid);
     poll_done(addr, id);
     let want = result_digests(addr, id, n);
     let sims_first = stats_u64(addr, &["sims_run"]);
     assert_eq!(sims_first, n as u64);
 
-    // Rounds 2..: same grid at different shard (and thread) counts — pure
-    // cache hits, zero new simulations, identical results.
+    // Rounds 2..: same grid with the retired knobs set — pure cache
+    // hits, zero new simulations, identical results.
     for (shards, threads) in [(2, 1), (4, 2), (8, 1)] {
         let mut regrid = grid.clone();
         regrid.base.shards = shards;
@@ -281,9 +280,12 @@ fn killed_server_resumes_from_checkpoints_digest_exact() {
 #[test]
 fn partial_results_stream_whole_lines_and_cancel_settles_job() {
     let dir = temp_dir("cancel");
-    let grid = test_grid();
+    let mut grid = test_grid();
+    // Long configs on one worker: the grid cannot finish before the early
+    // requests land, even in an optimized build (cancellation interrupts
+    // the running config, so the test stays short).
+    grid.base.measure = 200_000;
     let n = grid.expand().len();
-    // One worker: the grid cannot finish before the early requests land.
     let (addr, handle) = start_server(&dir, 1);
     let id = submit(addr, &grid);
 
