@@ -1,10 +1,11 @@
 //! Elementary-cycle enumeration cost (Johnson's algorithm) on the graph
 //! shapes the study encounters: long rings (DOR single-cycle deadlocks),
-//! dense multi-cycle knots (TFAR), and saturated CWG snapshots.
+//! dense multi-cycle knots (TFAR), and saturated CWG snapshots. One
+//! `CycleScratch` is reused across iterations, as the detection loop does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexsim::build_wait_graph;
-use icn_cwg::count_cycles;
+use icn_cwg::{CycleScratch, DetectorScratch, WaitGraph};
 use icn_routing::Tfar;
 use icn_sim::{Network, SimConfig};
 use icn_topology::{KAryNCube, NodeId};
@@ -24,7 +25,7 @@ fn dense_knot(n: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn saturated_snapshot_adjacency() -> Vec<Vec<u32>> {
+fn saturated_snapshot() -> WaitGraph {
     let topo = KAryNCube::torus(8, 2, true);
     let injector = BernoulliInjector::for_load(&topo, 1.0, 32);
     let mut net = Network::new(
@@ -47,14 +48,7 @@ fn saturated_snapshot_adjacency() -> Vec<Vec<u32>> {
         }
         net.step();
     }
-    // Re-expose adjacency through the public WaitGraph API by counting on
-    // it directly; here we just rebuild the graph per iteration input.
-    let snap = net.wait_snapshot();
-    let g = build_wait_graph(&snap);
-    // Extract adjacency via edges() accessor.
-    (0..g.num_vertices() as u32)
-        .map(|v| g.edges(v).iter().map(|e| e.to).collect())
-        .collect()
+    build_wait_graph(&net.wait_snapshot())
 }
 
 fn bench_cycles(c: &mut Criterion) {
@@ -63,21 +57,29 @@ fn bench_cycles(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(300));
     g.measurement_time(std::time::Duration::from_secs(2));
 
+    // Strongly connected inputs go through the knot entry point, the
+    // per-knot density count in `analyze_with`.
+    let mut scratch = CycleScratch::new();
     for &n in &[64usize, 1024] {
         let adj = ring(n);
+        let comp: Vec<u32> = (0..n as u32).collect();
         g.bench_with_input(BenchmarkId::new("ring", n), &adj, |b, adj| {
-            b.iter(|| count_cycles(adj, 100_000))
+            b.iter(|| scratch.count_component(adj, &comp, 100_000))
         });
     }
     for &n in &[12usize, 24] {
         let adj = dense_knot(n);
+        let comp: Vec<u32> = (0..n as u32).collect();
         g.bench_with_input(BenchmarkId::new("dense_knot", n), &adj, |b, adj| {
-            b.iter(|| count_cycles(adj, 100_000))
+            b.iter(|| scratch.count_component(adj, &comp, 100_000))
         });
     }
-    let adj = saturated_snapshot_adjacency();
+    // The census path: the epoch's CSR and SCCs held by the detector.
+    let graph = saturated_snapshot();
+    let mut detector = DetectorScratch::new();
+    graph.analyze_with(2_000, &mut detector);
     g.bench_function("saturated_snapshot_cap50k", |b| {
-        b.iter(|| count_cycles(&adj, 50_000))
+        b.iter(|| detector.count_cycles(50_000))
     });
     g.finish();
 }

@@ -33,12 +33,12 @@ use std::ops::ControlFlow;
 use std::path::Path;
 
 pub use icn_validate::{
-    arena_msgs, check_messages, explore, minimal_deadlock_sets, minimize_divergence,
+    arena_msgs, check_messages, diff_analysis, explore, minimal_deadlock_sets, minimize_divergence,
     oracle_analyze, random_snapshot, Divergence, ExploreConfig, ExploreReport, ExploreRouting,
     GenParams, OracleAnalysis, OracleDependent, OracleKnot, OracleMsg, SplitMix64, BRUTE_FORCE_CAP,
 };
 
-use icn_cwg::{Analysis, DependentKind};
+use icn_cwg::Analysis;
 use icn_sim::{MsgPhase, Network, StepEvents};
 use icn_topology::KAryNCube;
 use icn_traffic::{MsgLenDist, Pattern};
@@ -77,25 +77,14 @@ pub fn divergence_repro_json(num_vertices: usize, msgs: &[OracleMsg]) -> String 
     .to_string()
 }
 
-fn sorted_sets<T: Ord + Clone>(sets: impl IntoIterator<Item = Vec<T>>) -> Vec<Vec<T>> {
-    let mut out: Vec<Vec<T>> = sets
-        .into_iter()
-        .map(|mut s| {
-            s.sort();
-            s
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 /// Compares one epoch's production [`Analysis`] (possibly the empty
-/// fingerprint-skip placeholder) against the naive oracle and, on small
-/// snapshots, the brute-force enumerator. Returns human-readable
-/// disagreements.
+/// fingerprint-skip placeholder), computed with `density_cap`, against the
+/// naive oracle and, on small snapshots, the brute-force enumerator and
+/// knot density count. Returns human-readable disagreements.
 pub fn diff_epoch_analysis(
     skipped: bool,
     analysis: &Analysis,
+    density_cap: u64,
     num_vertices: usize,
     msgs: &[OracleMsg],
 ) -> Vec<String> {
@@ -120,68 +109,10 @@ pub fn diff_epoch_analysis(
         return out;
     }
 
-    if analysis.has_deadlock() != oracle.has_deadlock() {
-        out.push(format!(
-            "has_deadlock: production={} oracle={}",
-            analysis.has_deadlock(),
-            oracle.has_deadlock()
-        ));
-    }
-    if analysis.num_blocked != oracle.num_blocked {
-        out.push(format!(
-            "num_blocked: production={} oracle={}",
-            analysis.num_blocked, oracle.num_blocked
-        ));
-    }
-    let prod_dsets = sorted_sets(analysis.deadlocks.iter().map(|d| d.deadlock_set.clone()));
-    if prod_dsets != oracle.deadlock_sets() {
-        out.push(format!(
-            "deadlock sets: production={prod_dsets:?} oracle={:?}",
-            oracle.deadlock_sets()
-        ));
-    }
-    let prod_knots = sorted_sets(analysis.deadlocks.iter().map(|d| d.knot.clone()));
-    let orc_knots = sorted_sets(oracle.knots.iter().map(|k| k.knot.clone()));
-    if prod_knots != orc_knots {
-        out.push(format!(
-            "knot vertex sets: production={prod_knots:?} oracle={orc_knots:?}"
-        ));
-    }
-    let prod_rsets = sorted_sets(analysis.deadlocks.iter().map(|d| d.resource_set.clone()));
-    let orc_rsets = sorted_sets(oracle.knots.iter().map(|k| k.resource_set.clone()));
-    if prod_rsets != orc_rsets {
-        out.push(format!(
-            "resource sets: production={prod_rsets:?} oracle={orc_rsets:?}"
-        ));
-    }
-    let prod_dep: Vec<(u64, OracleDependent)> = analysis
-        .dependent
+    diff_analysis(analysis, density_cap, &oracle, num_vertices, msgs)
         .iter()
-        .map(|&(id, k)| {
-            (
-                id,
-                match k {
-                    DependentKind::Committed => OracleDependent::Committed,
-                    DependentKind::Transient => OracleDependent::Transient,
-                },
-            )
-        })
-        .collect();
-    if prod_dep != oracle.dependent {
-        out.push(format!(
-            "dependent census: production={prod_dep:?} oracle={:?}",
-            oracle.dependent
-        ));
-    }
-    if let Some(brute) = minimal_deadlock_sets(num_vertices, msgs, BRUTE_FORCE_CAP) {
-        if brute != oracle.deadlock_sets() {
-            out.push(format!(
-                "brute-force minimal closed sets: brute={brute:?} oracle={:?}",
-                oracle.deadlock_sets()
-            ));
-        }
-    }
-    out
+        .map(ToString::to_string)
+        .collect()
 }
 
 /// A [`RunObserver`] auditing a live run against the §2 theory and the
@@ -202,6 +133,8 @@ pub struct ValidationObserver {
     /// analysis, and capture-skipped epochs must be re-snapshotted before
     /// auditing (their arena is stale by design).
     incremental: bool,
+    /// The run's knot cycle-density cap, for the oracle's density count.
+    density_cap: u64,
     /// Scratch arena for re-capturing the wait state at epochs whose
     /// `EpochView::captured` is false.
     audit_arena: icn_sim::SnapshotArena,
@@ -232,6 +165,7 @@ impl ValidationObserver {
             minimal_routing: !matches!(cfg.routing, RoutingSpec::Misroute { .. }),
             recurrence_check: cfg.recovery != RecoveryPolicy::None,
             incremental: cfg.detection == crate::DetectionMode::Incremental,
+            density_cap: cfg.density_cap,
             audit_arena: icn_sim::SnapshotArena::new(),
             prev_totals: (0, 0, 0, 0),
             delivered_ids: HashSet::new(),
@@ -383,7 +317,13 @@ impl RunObserver for ValidationObserver {
                 self.audit_arena.num_vertices(),
             )
         };
-        let diffs = diff_epoch_analysis(view.skipped, view.analysis, num_vertices, &msgs);
+        let diffs = diff_epoch_analysis(
+            view.skipped,
+            view.analysis,
+            self.density_cap,
+            num_vertices,
+            &msgs,
+        );
         if !diffs.is_empty() {
             if self.divergence_repro.is_none() {
                 self.divergence_repro = Some(divergence_repro_json(num_vertices, &msgs));
@@ -788,7 +728,13 @@ pub fn check_incident(inc: &DeadlockIncident) -> Vec<String> {
             requests: m.requests.clone(),
         })
         .collect();
-    let mut out = diff_epoch_analysis(false, &inc.analysis, inc.cwg.num_vertices, &msgs);
+    let mut out = diff_epoch_analysis(
+        false,
+        &inc.analysis,
+        inc.config.density_cap,
+        inc.cwg.num_vertices,
+        &msgs,
+    );
     // Cross-check the structure-only harness too (fresh graph rebuild,
     // slim detector path, brute force).
     for d in check_messages(inc.cwg.num_vertices, &msgs) {

@@ -69,11 +69,6 @@ impl Csr {
         self.targets.extend(successors);
         self.offsets.push(self.targets.len() as u32);
     }
-
-    /// Total number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 impl Adjacency for Csr {
@@ -102,7 +97,7 @@ mod tests {
             csr.push_vertex(l.iter().copied());
         }
         assert_eq!(csr.num_vertices(), 3);
-        assert_eq!(csr.num_edges(), 3);
+        assert_eq!(csr.targets.len(), 3);
         for v in 0..3u32 {
             assert_eq!(csr.neighbors(v), lists.neighbors(v));
         }

@@ -1,7 +1,7 @@
 //! Knot detection and deadlock classification.
 
 use crate::adjacency::{Adjacency, Csr};
-use crate::cycles::{count_cycles, CycleCount};
+use crate::cycles::{CycleCount, CycleScratch};
 use crate::graph::{MessageId, VertexId, WaitGraph};
 use crate::scc::SccScratch;
 use std::collections::HashSet;
@@ -77,14 +77,16 @@ impl Analysis {
 ///
 /// Holds the epoch's CSR adjacency (built once from the [`WaitGraph`] and
 /// shared by knot analysis, cycle counting, and the recovery loop's
-/// re-analyses) plus Tarjan scratch and the terminal-component marks. On a
-/// knot-free epoch [`WaitGraph::analyze_with`] performs no heap allocation
-/// once capacities have warmed up.
+/// re-analyses) plus Tarjan scratch, the terminal-component marks and the
+/// cycle counter's scratch. On a knot-free epoch
+/// [`WaitGraph::analyze_with`] performs no heap allocation once capacities
+/// have warmed up, and neither does counting cycles.
 #[derive(Clone, Debug, Default)]
 pub struct DetectorScratch {
     csr: Csr,
     scc: SccScratch,
     terminal: Vec<bool>,
+    cycles: CycleScratch,
 }
 
 impl DetectorScratch {
@@ -95,9 +97,18 @@ impl DetectorScratch {
 
     /// The CSR adjacency of the most recently analyzed graph (valid until
     /// that graph is mutated or another graph is analyzed). Lets callers
-    /// run [`count_cycles`] on the epoch's adjacency without a rebuild.
+    /// run [`count_cycles`](crate::count_cycles) on the epoch's adjacency
+    /// without a rebuild.
     pub fn csr(&self) -> &Csr {
         &self.csr
+    }
+
+    /// Counts the elementary cycles of the most recently analyzed graph
+    /// (the cyclic non-deadlock census), capped at `cap`. Reuses that
+    /// analysis's CSR and SCC decomposition and the held cycle scratch.
+    pub fn count_cycles(&mut self, cap: u64) -> CycleCount {
+        self.cycles
+            .count_components(&self.csr, self.scc.components(), cap)
     }
 
     /// Rebuilds the CSR from `g`, decomposes it, and marks which components
@@ -176,24 +187,11 @@ impl WaitGraph {
             rset.sort_unstable();
             rset.dedup();
 
-            // Knot-restricted adjacency for the density count.
-            let knot_set: HashSet<VertexId> = knot.iter().copied().collect();
-            let sub: Vec<Vec<VertexId>> = (0..scratch.csr.num_vertices() as u32)
-                .map(|v| {
-                    if knot_set.contains(&v) {
-                        scratch
-                            .csr
-                            .neighbors(v)
-                            .iter()
-                            .copied()
-                            .filter(|t| knot_set.contains(t))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            let cycle_density = count_cycles(&sub, density_cap);
+            // A knot is terminal, so every arc out of it stays inside: count
+            // straight from the epoch CSR.
+            let cycle_density = scratch
+                .cycles
+                .count_component(&scratch.csr, &knot, density_cap);
 
             deadlocks.push(Deadlock {
                 knot,

@@ -1,7 +1,7 @@
 //! Capped elementary-cycle counting (Johnson's algorithm).
 
 use crate::adjacency::Adjacency;
-use crate::scc::{scc, SccScratch};
+use crate::scc::SccScratch;
 use crate::VertexId;
 
 /// A possibly-capped cycle count.
@@ -52,145 +52,226 @@ impl std::fmt::Display for CycleCount {
 
 /// Counts elementary cycles of `adj`, stopping once `cap` have been found.
 ///
-/// Cycles never span strongly connected components, so the graph is first
-/// decomposed with [`scc`] and Johnson's algorithm runs inside each
-/// non-trivial component — on CWG snapshots the overwhelming majority of
-/// vertices sit in trivial components, making this far cheaper than running
-/// Johnson on the full vertex range.
+/// Cycles never span strongly connected components, so Johnson's algorithm
+/// runs inside each non-trivial component only. Allocates fresh scratch;
+/// the detection loop counts through its
+/// [`DetectorScratch`](crate::DetectorScratch) instead.
 pub fn count_cycles<A: Adjacency + ?Sized>(adj: &A, cap: u64) -> CycleCount {
     let mut comps = SccScratch::new();
     comps.run(adj);
-    let mut total = CycleCount::Exact(0);
-    for comp in comps.components() {
-        let has_self_loop = comp.len() == 1 && adj.neighbors(comp[0]).contains(&comp[0]);
-        if comp.len() < 2 && !has_self_loop {
-            continue;
-        }
-        let remaining = cap.saturating_sub(total.value());
-        if remaining == 0 {
-            return CycleCount::AtLeast(total.value());
-        }
-        let local = count_in_component(adj, comp, remaining);
-        total = total.combine(local);
-    }
-    total
+    CycleScratch::new().count_components(adj, comps.components(), cap)
 }
 
-/// Johnson's algorithm restricted to one SCC, vertices remapped to `0..m`.
-fn count_in_component<A: Adjacency + ?Sized>(adj: &A, comp: &[VertexId], cap: u64) -> CycleCount {
-    let m = comp.len();
-    let mut index_of = std::collections::HashMap::with_capacity(m);
-    for (i, &v) in comp.iter().enumerate() {
-        index_of.insert(v, i as u32);
+/// End-of-list marker for the B-lists.
+const NIL: u32 = u32::MAX;
+
+/// Reusable state for capped Johnson counting, one strongly connected
+/// component at a time. Memory is O(V + E), and once capacities have
+/// warmed up counting performs no heap allocation.
+///
+/// The component is copied into a local CSR with rows sorted ascending.
+/// Starts run in ascending local order and start `s` walks only vertices
+/// `>= s` (each row's suffix from `partition_point(< s)`), with no
+/// per-start SCC: a vertex that cannot reach `s` is explored once and
+/// stays blocked, since anything reaching an unblocked vertex reaches `s`.
+/// B-set membership is one bit per arc: arc `v -> w` set means `v` is in
+/// `B(w)`, and the B-lists are threaded through the same arcs.
+#[derive(Clone, Debug, Default)]
+pub struct CycleScratch {
+    /// Global vertex -> local index, trusted only where `comp[i] == v`.
+    index_of: Vec<u32>,
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    blocked: Vec<bool>,
+    /// Start (plus one) that last visited each vertex.
+    visited_by: Vec<u32>,
+    /// Vertices the current start visited; reset before the next start.
+    touched: Vec<u32>,
+    /// First arc on each vertex's B-list, or [`NIL`].
+    b_head: Vec<u32>,
+    /// Per listed arc `v -> w`: `(v, next arc on w's list)`.
+    b_link: Vec<(u32, u32)>,
+    b_bits: Vec<u64>,
+    /// CIRCUIT frames: (vertex, next arc, found a cycle).
+    frames: Vec<(u32, u32, bool)>,
+    cascade: Vec<u32>,
+}
+
+impl CycleScratch {
+    /// Empty scratch; capacities grow on first use and are then reused.
+    pub fn new() -> Self {
+        Self::default()
     }
-    // Local adjacency, keeping only intra-component edges.
-    let local: Vec<Vec<u32>> = comp
-        .iter()
-        .map(|&v| {
-            adj.neighbors(v)
-                .iter()
-                .filter_map(|t| index_of.get(t).copied())
-                .collect()
-        })
-        .collect();
 
-    let mut count = 0u64;
-    let mut capped = false;
-
-    // For ascending start vertex s, count the cycles whose minimum vertex is
-    // s: explore only the sub-SCC of s within the subgraph induced on
-    // {s..m}, with Johnson's blocked-set pruning.
-    'starts: for s in 0..m as u32 {
-        // SCC of the induced subgraph {s..}.
-        let sub: Vec<Vec<u32>> = (0..m as u32)
-            .map(|v| {
-                if v < s {
-                    Vec::new()
-                } else {
-                    local[v as usize]
-                        .iter()
-                        .copied()
-                        .filter(|&t| t >= s)
-                        .collect()
-                }
-            })
-            .collect();
-        let sub_comps = scc(&sub);
-        let s_comp = sub_comps.comp_of[s as usize];
-        let in_k: Vec<bool> = (0..m as u32)
-            .map(|v| v >= s && sub_comps.comp_of[v as usize] == s_comp)
-            .collect();
-        if sub_comps.components[s_comp as usize].len() < 2 && !local[s as usize].contains(&s) {
-            continue;
-        }
-
-        let mut blocked = vec![false; m];
-        let mut b_sets: Vec<Vec<u32>> = vec![Vec::new(); m];
-        // Explicit-stack version of Johnson's CIRCUIT(v): each frame is
-        // (vertex, next-edge cursor, found-cycle-below flag).
-        let mut frames: Vec<(u32, usize, bool)> = vec![(s, 0, false)];
-        blocked[s as usize] = true;
-
-        while let Some(&mut (v, ref mut ei, ref mut found)) = frames.last_mut() {
-            let nexts = &local[v as usize];
-            let mut descended = false;
-            while *ei < nexts.len() {
-                let w = nexts[*ei];
-                *ei += 1;
-                if !in_k[w as usize] {
-                    continue;
-                }
-                if w == s {
-                    count += 1;
-                    *found = true;
-                    if count >= cap {
-                        capped = true;
-                        break 'starts;
-                    }
-                } else if !blocked[w as usize] {
-                    blocked[w as usize] = true;
-                    frames.push((w, 0, false));
-                    descended = true;
-                    break;
-                }
-            }
-            if descended {
+    /// Sums the counts of `comps` (the strongly connected components of
+    /// `adj`), skipping trivial ones and stopping at `cap`.
+    pub(crate) fn count_components<'c, A: Adjacency + ?Sized>(
+        &mut self,
+        adj: &A,
+        comps: impl Iterator<Item = &'c [VertexId]>,
+        cap: u64,
+    ) -> CycleCount {
+        let mut total = CycleCount::Exact(0);
+        for comp in comps {
+            if comp.len() < 2 && !adj.neighbors(comp[0]).contains(&comp[0]) {
                 continue;
             }
-            // Finished v: unwind one frame.
-            let (v, _, found) = frames.pop().unwrap();
-            if found {
-                unblock(v, &mut blocked, &mut b_sets);
-            } else {
-                for &w in &local[v as usize] {
-                    if in_k[w as usize] && !b_sets[w as usize].contains(&v) {
-                        b_sets[w as usize].push(v);
-                    }
+            let remaining = cap.saturating_sub(total.value());
+            if remaining == 0 {
+                return CycleCount::AtLeast(total.value());
+            }
+            total = total.combine(self.count_component(adj, comp, remaining));
+        }
+        total
+    }
+
+    /// Counts the elementary cycles inside `comp`, a non-trivial strongly
+    /// connected component of `adj` such as a knot, in any vertex order.
+    /// Arcs leaving `comp` are ignored; parallel arcs are distinct cycles.
+    /// Returns `Exact(n)` for `n < cap` cycles, else `AtLeast(cap)`.
+    pub fn count_component<A: Adjacency + ?Sized>(
+        &mut self,
+        adj: &A,
+        comp: &[VertexId],
+        cap: u64,
+    ) -> CycleCount {
+        if cap == 0 {
+            return CycleCount::AtLeast(0);
+        }
+        if self.index_of.len() < adj.num_vertices() {
+            self.index_of.resize(adj.num_vertices(), 0);
+        }
+        for (i, &v) in comp.iter().enumerate() {
+            self.index_of[v as usize] = i as u32;
+        }
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.targets.clear();
+        for &v in comp {
+            let row = self.targets.len();
+            for &t in adj.neighbors(v) {
+                let i = self.index_of[t as usize];
+                if comp.get(i as usize) == Some(&t) {
+                    self.targets.push(i);
                 }
             }
-            if let Some(&mut (_, _, ref mut parent_found)) = frames.last_mut() {
-                *parent_found |= found;
+            self.targets[row..].sort_unstable();
+            self.offsets.push(self.targets.len() as u32);
+        }
+        // Strongly connected with |E| = |V|: every out-degree is 1, so one cycle.
+        let n = if self.targets.len() == comp.len() {
+            1
+        } else {
+            self.johnson(cap)
+        };
+        if n >= cap {
+            CycleCount::AtLeast(cap)
+        } else {
+            CycleCount::Exact(n)
+        }
+    }
+
+    /// First arc of `v`'s row whose target is `>= s`.
+    fn suffix(&self, v: u32, s: u32) -> u32 {
+        let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+        lo + self.targets[lo as usize..hi as usize].partition_point(|&t| t < s) as u32
+    }
+
+    /// Blocks `v` and pushes its frame, noting the start's first visit.
+    fn enter(&mut self, v: u32, s: u32) {
+        self.blocked[v as usize] = true;
+        if self.visited_by[v as usize] != s + 1 {
+            self.visited_by[v as usize] = s + 1;
+            self.touched.push(v);
+        }
+        self.frames.push((v, self.suffix(v, s), false));
+    }
+
+    /// Johnson's algorithm over the loaded component; returns the number of
+    /// cycles found, stopping as soon as it reaches `cap`.
+    fn johnson(&mut self, cap: u64) -> u64 {
+        let (m, e) = (self.offsets.len() - 1, self.targets.len());
+        self.blocked.clear();
+        self.blocked.resize(m, false);
+        self.visited_by.clear();
+        self.visited_by.resize(m, 0);
+        self.b_head.clear();
+        self.b_head.resize(m, NIL);
+        self.b_link.resize(e, (NIL, NIL));
+        self.b_bits.clear();
+        self.b_bits.resize(e.div_ceil(64), 0);
+        self.touched.clear();
+        self.frames.clear();
+
+        let mut count = 0u64;
+        for s in 0..m as u32 {
+            for &v in &self.touched {
+                self.blocked[v as usize] = false;
+                self.b_head[v as usize] = NIL;
+                for a in self.offsets[v as usize]..self.offsets[v as usize + 1] {
+                    self.b_bits[a as usize / 64] &= !(1 << (a % 64));
+                }
+            }
+            self.touched.clear();
+            self.enter(s, s);
+            while let Some(&mut (v, ref mut arc, ref mut found)) = self.frames.last_mut() {
+                let end = self.offsets[v as usize + 1];
+                let mut next = None;
+                while *arc < end {
+                    let w = self.targets[*arc as usize];
+                    *arc += 1;
+                    if w == s {
+                        count += 1;
+                        *found = true;
+                        if count >= cap {
+                            return count;
+                        }
+                    } else if !self.blocked[w as usize] {
+                        next = Some(w);
+                        break;
+                    }
+                }
+                if let Some(w) = next {
+                    self.enter(w, s);
+                    continue;
+                }
+                let (v, _, found) = self.frames.pop().expect("loop runs on a frame");
+                if found {
+                    self.unblock(v);
+                } else {
+                    for a in self.suffix(v, s)..end {
+                        let (word, bit) = (a as usize / 64, 1u64 << (a % 64));
+                        if self.b_bits[word] & bit == 0 {
+                            self.b_bits[word] |= bit;
+                            let w = self.targets[a as usize] as usize;
+                            self.b_link[a as usize] = (v, self.b_head[w]);
+                            self.b_head[w] = a;
+                        }
+                    }
+                }
+                if let Some(parent) = self.frames.last_mut() {
+                    parent.2 |= found;
+                }
             }
         }
+        count
     }
 
-    if capped {
-        CycleCount::AtLeast(count)
-    } else {
-        CycleCount::Exact(count)
-    }
-}
-
-fn unblock(v: u32, blocked: &mut [bool], b_sets: &mut [Vec<u32>]) {
-    // Iterative unblock cascade.
-    let mut stack = vec![v];
-    while let Some(v) = stack.pop() {
-        if !blocked[v as usize] {
-            continue;
-        }
-        blocked[v as usize] = false;
-        for w in std::mem::take(&mut b_sets[v as usize]) {
-            stack.push(w);
+    /// Johnson's UNBLOCK, as an iterative cascade over the B-lists.
+    fn unblock(&mut self, v: u32) {
+        self.cascade.clear();
+        self.cascade.push(v);
+        while let Some(u) = self.cascade.pop() {
+            if !std::mem::replace(&mut self.blocked[u as usize], false) {
+                continue;
+            }
+            let mut a = std::mem::replace(&mut self.b_head[u as usize], NIL);
+            while a != NIL {
+                self.b_bits[a as usize / 64] &= !(1 << (a % 64));
+                let (src, next) = self.b_link[a as usize];
+                self.cascade.push(src);
+                a = next;
+            }
         }
     }
 }
@@ -249,6 +330,15 @@ mod tests {
         let c = count_cycles(&adj, 7);
         assert!(c.is_capped());
         assert_eq!(c.value(), 7);
+        // Reaching the cap exactly still reports it as capped.
+        assert_eq!(count_cycles(&adj, 20), CycleCount::AtLeast(20));
+        assert_eq!(count_cycles(&adj, 0), CycleCount::AtLeast(0));
+        let chain = vec![vec![1], vec![2], vec![]];
+        assert_eq!(count_cycles(&chain, 0), CycleCount::Exact(0));
+        // The knot entry point, vertices in any order.
+        let knot = |cap| CycleScratch::new().count_component(&adj, &[2, 0, 3, 1], cap);
+        assert_eq!(knot(20), CycleCount::AtLeast(20));
+        assert_eq!(knot(0), CycleCount::AtLeast(0));
     }
 
     #[test]
@@ -307,19 +397,57 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..50 {
-            let n = rng.gen_range(2..9);
-            let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for (v, row) in adj.iter_mut().enumerate() {
-                for w in 0..n as u32 {
-                    if v as u32 != w && rng.gen_bool(0.3) {
-                        row.push(w);
+        // Self-loops and parallel arcs included: each arc is its own cycle
+        // edge, exactly as the brute force walks them.
+        let mut graphs: Vec<Vec<Vec<u32>>> = (0..500)
+            .map(|_| {
+                let n = rng.gen_range(1..11);
+                let p = if rng.gen_bool(0.5) { 0.15 } else { 0.3 };
+                let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+                for (v, row) in adj.iter_mut().enumerate() {
+                    for w in 0..n as u32 {
+                        let p = if v as u32 == w { 0.1 } else { p };
+                        if rng.gen_bool(p) {
+                            row.push(w);
+                            if rng.gen_bool(0.1) {
+                                row.push(w);
+                            }
+                        }
                     }
                 }
+                adj
+            })
+            .collect();
+        graphs.sort_by_key(Vec::len);
+        // One scratch across every graph, growing then shrinking, so stale
+        // state from a larger or smaller predecessor would show.
+        let mut scratch = CycleScratch::new();
+        let order = graphs.iter().chain(graphs.iter().rev());
+        for adj in order {
+            let exact = brute_force(adj);
+            assert_eq!(count_cycles(adj, u64::MAX), CycleCount::Exact(exact));
+            let mut comps = SccScratch::new();
+            comps.run(adj);
+            for cap in [1, exact.saturating_sub(1), exact, exact + 1, u64::MAX] {
+                let expect = if exact > 0 && exact >= cap {
+                    CycleCount::AtLeast(cap)
+                } else {
+                    CycleCount::Exact(exact)
+                };
+                let got = scratch.count_components(adj, comps.components(), cap);
+                assert_eq!(got, expect, "cap={cap} adj={adj:?}");
             }
-            let expect = brute_force(&adj);
-            let got = count_cycles(&adj, u64::MAX);
-            assert_eq!(got, CycleCount::Exact(expect), "adj={adj:?}");
+            // The knot entry point, fed components in ascending vertex order
+            // (later starts then meet regions left blocked by earlier ones).
+            let mut by_component = 0;
+            for comp in comps.components() {
+                let mut comp = comp.to_vec();
+                comp.sort_unstable();
+                if comp.len() > 1 || adj[comp[0] as usize].contains(&comp[0]) {
+                    by_component += scratch.count_component(adj, &comp, u64::MAX).value();
+                }
+            }
+            assert_eq!(by_component, exact, "adj={adj:?}");
         }
     }
 }

@@ -9,13 +9,13 @@
 //!   arc `u → v` labelled with message `m` records that `m` acquired `v`
 //!   after `u` and still owns both; dashed arcs fan out from a blocked
 //!   message's head VC to every VC its routing relation currently supplies.
-//! * [`scc`] — iterative Tarjan strongly-connected components.
+//! * [`SccScratch`] — iterative Tarjan strongly-connected components.
 //! * Knot detection: a knot is precisely a **non-trivial terminal SCC**
 //!   (no arcs leave the component), because then the reachable set of every
 //!   member is the component itself.
-//! * [`count_cycles`] — capped elementary-cycle counting (Johnson's
-//!   algorithm, run per SCC), used for the paper's *cyclic non-deadlock*
-//!   and *knot cycle density* measurements.
+//! * [`count_cycles`] / [`CycleScratch`] — capped elementary-cycle
+//!   counting (Johnson's algorithm, run per SCC), used for the paper's
+//!   *cyclic non-deadlock* and *knot cycle density* measurements.
 //! * [`Analysis`] — per-knot deadlock descriptors: deadlock set, resource
 //!   set, knot cycle density, single- vs multi-cycle classification, plus
 //!   the *dependent message* census of §2.2.1.
@@ -57,8 +57,8 @@ mod serialize;
 
 pub use adjacency::{Adjacency, Csr};
 pub use analysis::{Analysis, Deadlock, DeadlockKind, DependentKind, DetectorScratch};
-pub use cycles::{count_cycles, CycleCount};
+pub use cycles::{count_cycles, CycleCount, CycleScratch};
 pub use dynamic::DynamicWaitGraph;
 pub use graph::{Edge, MessageId, VertexId, WaitGraph};
-pub use scc::{scc, SccResult, SccScratch};
+pub use scc::SccScratch;
 pub use serialize::{analyses_equal, graphs_equal};

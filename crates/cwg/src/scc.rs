@@ -5,30 +5,6 @@ use crate::VertexId;
 
 const UNVISITED: u32 = u32::MAX;
 
-/// Result of an SCC decomposition.
-#[derive(Clone, Debug)]
-pub struct SccResult {
-    /// Component index of each vertex. Components are numbered in **reverse
-    /// topological order** (Tarjan emits a component only after everything
-    /// it can reach), i.e. if component `a` has an edge into component `b`
-    /// then `a > b`.
-    pub comp_of: Vec<u32>,
-    /// Vertices of each component.
-    pub components: Vec<Vec<VertexId>>,
-}
-
-impl SccResult {
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// True when the graph was empty.
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
-}
-
 /// Reusable state for repeated SCC runs.
 ///
 /// The detection loop decomposes a similarly-sized CWG every epoch, so all
@@ -152,30 +128,21 @@ impl SccScratch {
     }
 }
 
-/// Computes strongly connected components of `adj` (vertices `0..adj.len()`).
-///
-/// Convenience wrapper over [`SccScratch`] that allocates fresh scratch and
-/// copies the result out; repeated callers (the detection loop) hold a
-/// scratch instead.
-pub fn scc(adj: &[Vec<VertexId>]) -> SccResult {
-    let mut scratch = SccScratch::new();
-    scratch.run(adj);
-    SccResult {
-        comp_of: scratch.comp_of.clone(),
-        components: scratch.components().map(<[VertexId]>::to_vec).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn comp_sets(r: &SccResult) -> Vec<Vec<VertexId>> {
+    fn run(adj: &[Vec<VertexId>]) -> SccScratch {
+        let mut r = SccScratch::new();
+        r.run(adj);
+        r
+    }
+
+    fn comp_sets(r: &SccScratch) -> Vec<Vec<VertexId>> {
         let mut cs: Vec<Vec<VertexId>> = r
-            .components
-            .iter()
+            .components()
             .map(|c| {
-                let mut c = c.clone();
+                let mut c = c.to_vec();
                 c.sort_unstable();
                 c
             })
@@ -186,41 +153,41 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let r = scc(&[]);
-        assert!(r.is_empty());
+        let r = run(&[]);
+        assert_eq!(r.num_components(), 0);
     }
 
     #[test]
     fn singletons_without_edges() {
-        let r = scc(&[vec![], vec![], vec![]]);
-        assert_eq!(r.len(), 3);
-        assert!(r.components.iter().all(|c| c.len() == 1));
+        let r = run(&[vec![], vec![], vec![]]);
+        assert_eq!(r.num_components(), 3);
+        assert!(r.components().all(|c| c.len() == 1));
     }
 
     #[test]
     fn simple_cycle_is_one_component() {
         let adj = vec![vec![1], vec![2], vec![0]];
-        let r = scc(&adj);
-        assert_eq!(r.len(), 1);
+        let r = run(&adj);
+        assert_eq!(r.num_components(), 1);
         assert_eq!(comp_sets(&r), vec![vec![0, 1, 2]]);
     }
 
     #[test]
     fn chain_is_all_singletons() {
         let adj = vec![vec![1], vec![2], vec![]];
-        let r = scc(&adj);
-        assert_eq!(r.len(), 3);
+        let r = run(&adj);
+        assert_eq!(r.num_components(), 3);
     }
 
     #[test]
     fn two_cycles_bridged() {
         // 0<->1 -> 2<->3
         let adj = vec![vec![1], vec![0, 2], vec![3], vec![2]];
-        let r = scc(&adj);
+        let r = run(&adj);
         assert_eq!(comp_sets(&r), vec![vec![0, 1], vec![2, 3]]);
         // reverse topological numbering: {2,3} emitted before {0,1}
-        let c01 = r.comp_of[0];
-        let c23 = r.comp_of[2];
+        let c01 = r.comp_of(0);
+        let c23 = r.comp_of(2);
         assert!(c01 > c23);
     }
 
@@ -228,9 +195,9 @@ mod tests {
     fn figure_one_knot_shape() {
         // The single 8-cycle of Figure 1b.
         let adj: Vec<Vec<u32>> = (0..8u32).map(|v| vec![(v + 1) % 8]).collect();
-        let r = scc(&adj);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.components[0].len(), 8);
+        let r = run(&adj);
+        assert_eq!(r.num_components(), 1);
+        assert_eq!(r.component(0).len(), 8);
     }
 
     #[test]
@@ -246,15 +213,15 @@ mod tests {
                 }
             })
             .collect();
-        let r = scc(&adj);
-        assert_eq!(r.len(), n);
+        let r = run(&adj);
+        assert_eq!(r.num_components(), n);
     }
 
     #[test]
     fn self_loop_is_its_own_component() {
         let adj = vec![vec![0], vec![]];
-        let r = scc(&adj);
-        assert_eq!(r.len(), 2);
+        let r = run(&adj);
+        assert_eq!(r.num_components(), 2);
     }
 
     #[test]
@@ -268,13 +235,13 @@ mod tests {
         let mut scratch = SccScratch::new();
         for adj in &graphs {
             scratch.run(adj);
-            let fresh = scc(adj);
-            assert_eq!(scratch.num_components(), fresh.len());
-            for (c, comp) in fresh.components.iter().enumerate() {
-                assert_eq!(scratch.component(c as u32), comp.as_slice());
+            let fresh = run(adj);
+            assert_eq!(scratch.num_components(), fresh.num_components());
+            for c in 0..fresh.num_components() as u32 {
+                assert_eq!(scratch.component(c), fresh.component(c));
             }
             for v in 0..adj.len() as u32 {
-                assert_eq!(scratch.comp_of(v), fresh.comp_of[v as usize]);
+                assert_eq!(scratch.comp_of(v), fresh.comp_of(v));
             }
         }
     }

@@ -3,17 +3,25 @@
 //! [`check_messages`] runs one CWG snapshot through three independent
 //! implementations — the production `icn_cwg::WaitGraph` analysis, the
 //! naive [`oracle`](crate::oracle), and (on small snapshots) the
-//! brute-force closed-set enumerator — and reports every disagreement.
+//! brute-force closed-set enumerator and a simple-path count of every
+//! knot's cycle density — and reports every disagreement.
 //! [`minimize_divergence`] greedily shrinks a diverging snapshot to a
 //! locally minimal message set, so a failure lands as a handful of chains
 //! a human can re-derive on paper.
 
-use crate::oracle::{minimal_deadlock_sets, oracle_analyze, OracleDependent, OracleMsg};
+use crate::oracle::{
+    knot_cycle_count, minimal_deadlock_sets, oracle_analyze, OracleAnalysis, OracleDependent,
+    OracleMsg,
+};
 use icn_cwg::{Analysis, DependentKind, DetectorScratch, WaitGraph};
 
 /// Cap for the brute-force enumerator: snapshots with more blocked
 /// messages skip that third check (still differential on the other two).
 pub const BRUTE_FORCE_CAP: usize = 16;
+
+/// Knot cycle-density cap for both the production analysis and the
+/// oracle's count.
+const DENSITY_CAP: u64 = 1_000;
 
 /// One disagreement between implementations on one snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,8 +81,33 @@ fn push_if_ne<T: PartialEq + std::fmt::Debug>(
 /// (empty means all implementations agree on everything compared).
 pub fn check_messages(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<Divergence> {
     let g = production_graph(num_vertices, msgs);
-    let production: Analysis = g.analyze(1_000);
     let oracle = oracle_analyze(num_vertices, msgs);
+    let production = g.analyze(DENSITY_CAP);
+    let mut out = diff_analysis(&production, DENSITY_CAP, &oracle, num_vertices, msgs);
+
+    // The slim per-epoch path must agree with the full analysis.
+    let mut scratch = DetectorScratch::new();
+    let slim = g.knot_deadlock_sets(&mut scratch);
+    push_if_ne(
+        &mut out,
+        "knot_deadlock_sets (slim path)",
+        &sorted_sets(&slim),
+        &oracle.deadlock_sets(),
+    );
+    out
+}
+
+/// Compares a production analysis of the snapshot, computed with
+/// `density_cap`, against `oracle` and, on small snapshots, against the
+/// brute-force closed-set enumerator and a simple-path count of each
+/// knot's cycle density.
+pub fn diff_analysis(
+    production: &Analysis,
+    density_cap: u64,
+    oracle: &OracleAnalysis,
+    num_vertices: usize,
+    msgs: &[OracleMsg],
+) -> Vec<Divergence> {
     let mut out = Vec::new();
 
     push_if_ne(
@@ -147,17 +180,9 @@ pub fn check_messages(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<Divergence
         .collect();
     push_if_ne(&mut out, "dependent census", &prod_dep, &oracle.dependent);
 
-    // The slim per-epoch path must agree with the full analysis.
-    let mut scratch = DetectorScratch::new();
-    let slim = g.knot_deadlock_sets(&mut scratch);
-    push_if_ne(
-        &mut out,
-        "knot_deadlock_sets (slim path)",
-        &sorted_sets(&slim),
-        &oracle.deadlock_sets(),
-    );
-
-    // Third implementation: minimal closed sets, when small enough.
+    // Third implementation: minimal closed sets, when small enough. The
+    // same snapshots audit each knot's cycle density against a brute-force
+    // simple-path count under the same cap.
     if let Some(brute) = minimal_deadlock_sets(num_vertices, msgs, BRUTE_FORCE_CAP) {
         push_if_ne(
             &mut out,
@@ -165,6 +190,16 @@ pub fn check_messages(num_vertices: usize, msgs: &[OracleMsg]) -> Vec<Divergence
             &brute,
             &oracle.deadlock_sets(),
         );
+        for d in &production.deadlocks {
+            let density = (d.cycle_density.value(), d.cycle_density.is_capped());
+            let counted = knot_cycle_count(num_vertices, msgs, &d.knot, density_cap);
+            push_if_ne(
+                &mut out,
+                &format!("cycle density of knot {:?}", d.knot),
+                &density,
+                &counted,
+            );
+        }
     }
 
     out

@@ -9,7 +9,8 @@
 //! * [`oracle`] — a deliberately naive knot finder (dense adjacency
 //!   matrix, fixed-point escape reduction, Warshall closure) plus a
 //!   brute-force minimal-closed-set enumerator: three implementations of
-//!   the paper's §2 definitions that must always agree.
+//!   the paper's §2 definitions that must always agree — and a
+//!   simple-path cycle count that audits each knot's cycle density.
 //! * [`diff`] — the differential harness comparing all of them on one
 //!   snapshot, with a greedy minimizer for any divergence.
 //! * [`gen`] — a seeded random CWG generator (own SplitMix64, no shared
@@ -38,9 +39,10 @@ pub fn arena_msgs(arena: &icn_sim::SnapshotArena) -> Vec<oracle::OracleMsg> {
         .collect()
 }
 
-pub use diff::{check_messages, minimize_divergence, Divergence, BRUTE_FORCE_CAP};
+pub use diff::{check_messages, diff_analysis, minimize_divergence, Divergence, BRUTE_FORCE_CAP};
 pub use explore::{explore, ExploreConfig, ExploreReport, ExploreRouting};
 pub use gen::{random_snapshot, GenParams, SplitMix64};
 pub use oracle::{
-    minimal_deadlock_sets, oracle_analyze, OracleAnalysis, OracleDependent, OracleKnot, OracleMsg,
+    knot_cycle_count, minimal_deadlock_sets, oracle_analyze, OracleAnalysis, OracleDependent,
+    OracleKnot, OracleMsg,
 };

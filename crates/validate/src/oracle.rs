@@ -370,6 +370,51 @@ pub fn minimal_deadlock_sets(
     Some(sets)
 }
 
+/// Counts the elementary cycles inside `knot` by walking simple paths:
+/// each cycle is counted once, from its smallest vertex, by extending only
+/// through larger vertices not yet on the path. Arcs are read per message
+/// (chain arcs, then head-to-request arcs), so a repeated arc closes a
+/// cycle of its own. Stops at `cap`: returns `(n, false)` when the knot
+/// has `n < cap` cycles and `(cap, true)` otherwise.
+pub fn knot_cycle_count(
+    num_vertices: usize,
+    msgs: &[OracleMsg],
+    knot: &[u32],
+    cap: u64,
+) -> (u64, bool) {
+    let mut arcs: Vec<Vec<u32>> = vec![Vec::new(); num_vertices];
+    for m in msgs {
+        let head = *m.chain.last().expect("oracle: message has no chain");
+        let chain_arcs = m.chain.windows(2).map(|w| (w[0], w[1]));
+        for (v, w) in chain_arcs.chain(m.requests.iter().map(|&r| (head, r))) {
+            if knot.contains(&v) && knot.contains(&w) {
+                arcs[v as usize].push(w);
+            }
+        }
+    }
+    // Extends `path`, which starts at its smallest vertex, through larger
+    // vertices not on it; every arc back to the start closes a cycle.
+    fn walk(arcs: &[Vec<u32>], path: &mut Vec<u32>, count: &mut u64, cap: u64) {
+        for &w in &arcs[*path.last().expect("path starts non-empty") as usize] {
+            if *count >= cap {
+                return;
+            }
+            if w == path[0] {
+                *count += 1;
+            } else if w > path[0] && !path.contains(&w) {
+                path.push(w);
+                walk(arcs, path, count, cap);
+                path.pop();
+            }
+        }
+    }
+    let mut count = 0;
+    for &s in knot {
+        walk(&arcs, &mut vec![s], &mut count, cap);
+    }
+    (count, count >= cap)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,6 +543,12 @@ mod tests {
             minimal_deadlock_sets(8, &msgs, 16),
             Some(vec![vec![1, 2, 3, 4]])
         );
+        // Each hop around the square may or may not pass through the next
+        // message's tail VC: 2^4 cycles.
+        let knot = &a.knots[0].knot;
+        assert_eq!(knot_cycle_count(8, &msgs, knot, 1_000), (16, false));
+        assert_eq!(knot_cycle_count(8, &msgs, knot, 16), (16, true));
+        assert_eq!(knot_cycle_count(8, &msgs, knot, 0), (0, true));
     }
 
     #[test]

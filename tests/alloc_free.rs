@@ -1,6 +1,7 @@
 //! Proof that the steady-state detection epoch performs zero heap
-//! allocations: snapshot fill, wait-graph rebuild, and knot analysis all
-//! run in caller-owned storage once capacities have warmed up.
+//! allocations: snapshot fill, wait-graph rebuild, knot analysis and knot
+//! cycle counting all run in caller-owned storage once capacities have
+//! warmed up.
 //!
 //! A counting global allocator tallies every alloc/realloc made by the
 //! test's own thread. The counter is thread-local so that allocations the
@@ -10,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use icn_cwg::{DetectorScratch, WaitGraph};
+use icn_cwg::{CycleScratch, DetectorScratch, WaitGraph};
 use icn_routing::Dor;
 use icn_sim::{Network, SimConfig, SnapshotArena};
 use icn_topology::{KAryNCube, NodeId};
@@ -162,4 +163,27 @@ fn steady_state_detection_epoch_allocates_nothing() {
         epoch_allocs, 0,
         "clean detection epoch must not allocate in steady state"
     );
+
+    // --- Scenario 3: counting a multi-cycle knot (density and census) on
+    // warmed scratch. Figure 3's shape: four messages each own two VCs and
+    // wait for both VCs of the next message. ---
+    let mut g = WaitGraph::new(8);
+    for i in 0..4u32 {
+        g.add_chain(i as u64, &[2 * i, 2 * i + 1]);
+    }
+    for i in 0..4u32 {
+        let next = 2 * ((i + 1) % 4);
+        g.add_requests(i as u64, &[next, next + 1]);
+    }
+    let knot = g.analyze_with(2_000, &mut scratch).deadlocks.remove(0);
+    assert!(knot.cycle_density.value() > 1, "knot must be multi-cycle");
+    let mut cycles = CycleScratch::new();
+    let mut count = || {
+        let c = cycles.count_component(scratch.csr(), &knot.knot, 2_000);
+        assert_eq!(c, knot.cycle_density);
+        assert_eq!(scratch.count_cycles(2_000), knot.cycle_density);
+    };
+    count();
+    let count_allocs = allocations(|| (0..100).for_each(|_| count()));
+    assert_eq!(count_allocs, 0, "knot cycle counting must not allocate");
 }
