@@ -9,19 +9,12 @@
 //! table; with `ICN_BENCH_BLESS=1` they also overwrite the committed
 //! baseline (`BENCH_engine.json`), otherwise the baseline is only read.
 //!
-//! A second section compares the detection modes on a deadlock-heavy
-//! regime (full `flexsim::run`s, recovery in the loop): after a digest
-//! cross-check, `incremental_ratio` (incremental over snapshot
-//! cycles/sec) joins the baseline and is gated at a fixed 0.9 — the
-//! every-cycle detector may cost at most 10% of run throughput.
-//!
 //! Run with `cargo bench -p icn-bench --bench engine_throughput`. Exits
-//! non-zero if any digest diverges, if `incremental_ratio` falls below
-//! 0.9, or if the saturation speedup regresses more than 20% below the
-//! committed `BENCH_engine.json` baseline (ratios are machine-normalized,
-//! so this survives CI-runner variance); the remaining throughput checks
-//! are reported as PASS/FAIL but do not fail the process (wall-clock
-//! noise).
+//! non-zero if any digest diverges, or if the saturation speedup
+//! regresses more than 20% below the committed `BENCH_engine.json`
+//! baseline (ratios are machine-normalized, so this survives CI-runner
+//! variance); the remaining throughput checks are reported as PASS/FAIL
+//! but do not fail the process (wall-clock noise).
 //!
 //! `ICN_BENCH_QUICK=1` shrinks the verify/measure windows for CI smoke
 //! runs (~seconds instead of ~minutes).
@@ -235,46 +228,6 @@ fn time_engine(case: &Case, dense: bool, w: Windows) -> f64 {
     best
 }
 
-/// Windows for the incremental-detection section: full `flexsim::run`s
-/// (detection + recovery in the loop) on a deadlock-heavy 8-ary 2-cube,
-/// so the windows are their own size again.
-fn incremental_windows() -> (u64, u64, usize) {
-    if quick_mode() {
-        (500, 4_000, 2)
-    } else {
-        (1_000, 20_000, 3)
-    }
-}
-
-/// The deadlock-recovery regime the detection modes are compared on:
-/// unidirectional DOR, one VC, full load — steady knot formation and
-/// recovery churn, detection at the default 50-cycle cadence.
-fn incremental_cfg(warmup: u64, measure: u64) -> flexsim::RunConfig {
-    let mut cfg = flexsim::RunConfig::small_default();
-    cfg.topology = flexsim::TopologySpec::torus(8, 2, false);
-    cfg.routing = flexsim::RoutingSpec::Dor;
-    cfg.sim.vcs_per_channel = 1;
-    cfg.load = 1.0;
-    cfg.warmup = warmup;
-    cfg.measure = measure;
-    cfg
-}
-
-/// Steady-state cycles/sec of a full run under `mode`; best of `reps`.
-fn time_detection_mode(mode: flexsim::DetectionMode, w: (u64, u64, usize)) -> f64 {
-    let (warmup, measure, reps) = w;
-    let mut best = 0.0f64;
-    for _ in 0..reps {
-        let mut cfg = incremental_cfg(warmup, measure);
-        cfg.detection = mode;
-        let start = Instant::now();
-        let res = flexsim::run(&cfg);
-        let cps = res.cycles as f64 / start.elapsed().as_secs_f64();
-        best = best.max(cps);
-    }
-    best
-}
-
 /// Pulls `"speedup": <x>` out of the saturation row of a committed
 /// `BENCH_engine.json` (a fixed format we also write, so a two-line
 /// scan beats a JSON parser here).
@@ -339,41 +292,6 @@ fn main() {
         "  [{}] identical digests vs dense reference on all configs",
         if all_match { "PASS" } else { "FAIL" },
     );
-    // Incremental-detection section: the event-patched every-cycle
-    // detector must stay digest-identical to snapshot mode and cost no
-    // more than 10% of a full run's throughput on a deadlock-heavy
-    // regime (a fixed gate — the ratio is machine-normalized).
-    let iw = incremental_windows();
-    println!();
-    println!(
-        "== incremental_detection: 8-ary 2-cube DOR vc=1 load=1.0, full runs ==\n   \
-         warmup {} cycles, measure {} cycles x {} reps",
-        iw.0, iw.1, iw.2
-    );
-    let inc_match = {
-        let cfg = incremental_cfg(iw.0, iw.1.min(2_000));
-        let want = flexsim::run(&cfg).digest();
-        let mut inc = cfg.clone();
-        inc.detection = flexsim::DetectionMode::Incremental;
-        flexsim::run(&inc).digest() == want
-    };
-    println!(
-        "  [{}] identical digests, snapshot vs incremental detection",
-        if inc_match { "PASS" } else { "FAIL" },
-    );
-    let snap_cps = time_detection_mode(flexsim::DetectionMode::Snapshot, iw);
-    let inc_cps = time_detection_mode(flexsim::DetectionMode::Incremental, iw);
-    let incremental_ratio = inc_cps / snap_cps;
-    println!(
-        "{:>14}  snapshot {:>10.0} cyc/s   incremental {:>10.0} cyc/s   ratio {:.2}x",
-        "detection", snap_cps, inc_cps, incremental_ratio
-    );
-    let inc_regressed = incremental_ratio < 0.9;
-    println!(
-        "  [{}] incremental_ratio >= 0.9 (measured {incremental_ratio:.2}x)",
-        if inc_regressed { "FAIL" } else { "PASS" },
-    );
-
     let sat = find("saturation");
     let sat_regressed = match baseline {
         Some(b) => {
@@ -408,15 +326,7 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"incremental_detection\": {{\"snapshot_cycles_per_sec\": {snap_cps:.0}, \
-         \"incremental_cycles_per_sec\": {inc_cps:.0}, \
-         \"incremental_ratio\": {incremental_ratio:.3}, \
-         \"digest_match\": {inc_match}}}"
-    );
-    json.push_str("}\n");
+    json.push_str("  ]\n}\n");
     // Re-baselining is an explicit act: a plain run only compares.
     if std::env::var("ICN_BENCH_BLESS").is_ok_and(|v| v == "1") {
         match std::fs::write(baseline_path(), &json) {
@@ -431,14 +341,6 @@ fn main() {
     }
     if sat_regressed {
         eprintln!("saturation speedup regressed more than 20% vs the committed baseline");
-        std::process::exit(1);
-    }
-    if !inc_match {
-        eprintln!("detection-mode digest mismatch — the incremental detector is wrong");
-        std::process::exit(1);
-    }
-    if inc_regressed {
-        eprintln!("incremental detection costs more than 10% of full-run throughput");
         std::process::exit(1);
     }
 }

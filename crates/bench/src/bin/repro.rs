@@ -3,7 +3,7 @@
 //! ```text
 //! repro [fig5] [fig6] [fig7] [fig8] [degree] [traffic] [all] [--small] [--csv]
 //! repro forensics [--store DIR] [--seed N] [--max N] [--cycles N] [--no-prefix]
-//! repro validate [--configs N] [--cwgs N] [--seed N] [--incremental] [--store DIR] [--no-explore]
+//! repro validate [--configs N] [--cwgs N] [--seed N] [--store DIR] [--no-explore]
 //! repro faults [--seed N] [--expect-stall]
 //! repro serve [--addr HOST:PORT] [--data DIR] [--workers N] [--smoke]
 //!             [--port-file PATH] [--lease-ms N] [--scan-ms N]
@@ -70,9 +70,7 @@
 //! is differentially checked against the independent naive oracle and
 //! the brute-force enumerator on randomized CWGs (`--cwgs`, default 512),
 //! on every detection epoch of `--configs` (default 16) seeded random
-//! live configurations (with full invariant auditing;
-//! `--incremental` repeats the campaign with every config forced through
-//! the event-patched incremental detector), on freshly
+//! live configurations (with full invariant auditing), on freshly
 //! captured forensics incidents, on every incident in `--store DIR` (if
 //! given), and — unless `--no-explore` — on every schedule of the
 //! exhaustive small-world explorer. Any disagreement exits non-zero and
@@ -266,7 +264,6 @@ fn validate_main(args: &[String]) -> i32 {
     let num_cwgs = parse_u64("--cwgs", 512);
     let num_configs = parse_u64("--configs", 16) as usize;
     let base_seed = parse_u64("--seed", 0xdeadbeef);
-    let incremental = args.iter().any(|a| a == "--incremental");
     let explore = !args.iter().any(|a| a == "--no-explore");
     let started = Instant::now();
     let mut ok = true;
@@ -326,29 +323,6 @@ fn validate_main(args: &[String]) -> i32 {
         }
         if let Some(r) = repro {
             emit_divergence(r);
-        }
-    }
-
-    // Stage 2b: the same campaign forced through the incremental
-    // detector, auditing the event-patched CWG's every epoch.
-    if incremental {
-        println!(
-            "== validate: incremental-detection campaign over {num_configs} random configs =="
-        );
-        let campaign = v::campaign_incremental(num_configs, base_seed);
-        println!(
-            "   {} configs, {} epochs differentially checked, {} with knots",
-            campaign.configs, campaign.epochs_checked, campaign.deadlock_epochs
-        );
-        for (label, violations, repro) in &campaign.failures {
-            ok = false;
-            eprintln!("incremental config `{label}` FAILED:");
-            for viol in violations {
-                eprintln!("   {viol}");
-            }
-            if let Some(r) = repro {
-                emit_divergence(r);
-            }
         }
     }
 

@@ -163,8 +163,7 @@ pub struct DeadlockIncident {
     pub cycle: u64,
     /// Exact formation cycle: the latest block stamp across the epoch's
     /// deadlock-set members — when the last participant wedged. At most
-    /// [`cycle`](Self::cycle); the gap is the detection lag the
-    /// incremental detector eliminates from recovery dispatch.
+    /// [`cycle`](Self::cycle); the gap is the detection lag.
     pub formation_cycle: u64,
     /// The exact configuration — including the seed — that produced it.
     pub config: RunConfig,
@@ -640,7 +639,7 @@ pub fn config_to_json(cfg: &RunConfig) -> Json {
         ("warmup", Json::U64(cfg.warmup)),
         ("measure", Json::U64(cfg.measure)),
         ("detection_interval", Json::U64(cfg.detection_interval)),
-        ("detection", Json::Str(cfg.detection.name().to_string())),
+        ("detection", Json::Str("snapshot".to_string())),
         (
             "count_cycles_every",
             match cfg.count_cycles_every {
@@ -718,12 +717,11 @@ pub fn config_from_json(v: &Json) -> Result<RunConfig, ParseError> {
         warmup: get_u64(v, "warmup")?,
         measure: get_u64(v, "measure")?,
         detection_interval: get_u64(v, "detection_interval")?,
-        // Absent in records written before the incremental detector;
-        // snapshot is the semantic default either way.
+        // Absent in the oldest records; `incremental` names a retired
+        // digest-neutral mode. Every accepted value decodes to snapshot.
         detection: match get(v, "detection") {
             Ok(j) => match j.as_str() {
-                Some("snapshot") => DetectionMode::Snapshot,
-                Some("incremental") => DetectionMode::Incremental,
+                Some("snapshot" | "incremental") => DetectionMode::Snapshot,
                 _ => return Err(bad("`detection` must be `snapshot` or `incremental`")),
             },
             Err(_) => DetectionMode::Snapshot,
@@ -775,7 +773,6 @@ mod tests {
         cfg.transfer_threads = 3;
         cfg.shards = 4;
         cfg.stall_threshold = Some(500);
-        cfg.detection = DetectionMode::Incremental;
         let text = config_to_json(&cfg).to_string();
         let back = config_from_json(&parse(&text).unwrap()).unwrap();
         // The retired engine knobs are written as 1 and ignored on decode.
@@ -786,6 +783,18 @@ mod tests {
             ..cfg
         };
         assert_eq!(want, back);
+        assert_eq!(back.detection, DetectionMode::Snapshot);
+        // The retired detection mode's name still decodes, to snapshot;
+        // any other name is rejected.
+        assert!(text.contains("\"detection\":\"snapshot\""));
+        let old = text.replace(
+            "\"detection\":\"snapshot\"",
+            "\"detection\":\"incremental\"",
+        );
+        let back = config_from_json(&parse(&old).unwrap()).unwrap();
+        assert_eq!(back.detection, DetectionMode::Snapshot);
+        let bad = text.replace("\"detection\":\"snapshot\"", "\"detection\":\"eager\"");
+        assert!(config_from_json(&parse(&bad).unwrap()).is_err());
     }
 
     #[test]

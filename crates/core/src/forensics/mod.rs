@@ -102,8 +102,8 @@ impl ForensicsState {
 
     /// Records a detection epoch's knots: formation statistics always,
     /// plus a full [`DeadlockIncident`] while under the cap. Called after
-    /// the recovery loop so the outcome (victims) is known. An epoch with
-    /// knots always captured `arena` fresh, so its cycle is the epoch's.
+    /// the recovery loop so the outcome (victims) is known; `arena` is
+    /// the epoch's own capture, so its cycle is the epoch's.
     pub fn record_epoch(
         &mut self,
         run_cfg: &RunConfig,

@@ -100,9 +100,8 @@ pub struct RunConfig {
     pub measure: u64,
     /// Deadlock-detection cadence in cycles (paper: 50).
     pub detection_interval: u64,
-    /// How knots are detected: epoch snapshots (the reference) or the
-    /// event-driven incremental CWG checked every cycle. Digest-neutral —
-    /// both modes produce byte-identical [`RunResult`]s.
+    /// Ignored: detection is always an epoch snapshot (see
+    /// [`DetectionMode`]). Kept so existing readers of the field compile.
     pub detection: DetectionMode,
     /// When `Some(n)`, count CWG resource-dependency cycles every `n`-th
     /// detection epoch (the cyclic non-deadlock metric; costs time).

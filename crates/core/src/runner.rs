@@ -2,10 +2,8 @@
 
 use std::ops::ControlFlow;
 
-use icn_cwg::{
-    Analysis, CycleCount, DeadlockKind, DependentKind, DetectorScratch, DynamicWaitGraph, WaitGraph,
-};
-use icn_sim::{Network, SnapshotArena, StepEvents, WaitSnapshot, WaitUpdate};
+use icn_cwg::{Analysis, CycleCount, DeadlockKind, DependentKind, DetectorScratch, WaitGraph};
+use icn_sim::{Network, SnapshotArena, StepEvents, WaitSnapshot};
 use icn_topology::NodeId;
 use icn_traffic::BernoulliInjector;
 use rand::rngs::StdRng;
@@ -13,7 +11,7 @@ use rand::SeedableRng;
 
 use crate::forensics::ForensicsState;
 use crate::result::{RunOutcome, RunResult, StallReport};
-use crate::spec::{DetectionMode, RecoveryPolicy};
+use crate::spec::RecoveryPolicy;
 use crate::RunConfig;
 
 /// What [`RunObserver::on_epoch`] sees at a detection epoch: the snapshot,
@@ -31,19 +29,6 @@ pub struct EpochView<'a> {
     /// Whether the fingerprint fast path skipped the full analysis (the
     /// epoch matched a previously verified clean wait-state).
     pub skipped: bool,
-    /// Whether `arena` was (re)captured at this epoch. Incremental
-    /// detection skips the snapshot capture entirely when the live
-    /// wait-state fingerprint matches a verified-clean epoch, so on
-    /// `captured == false` epochs the arena holds a stale earlier capture
-    /// — auditors needing fresh state must take their own snapshot (the
-    /// analysis and `skipped` remain exact either way).
-    pub captured: bool,
-    /// Incremental mode only: the cycle at which the dynamic CWG first
-    /// reported the currently live knot (`None` when knot-free, and always
-    /// `None` in snapshot mode). This is the exact first-true detection
-    /// cycle, which can postdate the last member's block — a foreign
-    /// message taking the final escape VC closes the knot later.
-    pub knot_live_since: Option<u64>,
     /// The network, read-only.
     pub net: &'a Network,
 }
@@ -201,16 +186,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
         net.enable_trace(f.trace_capacity);
     }
 
-    // Incremental detection: the event-patched dynamic CWG, kept current
-    // every cycle from the engine's block/acquire/release stream, plus the
-    // live-knot episode tracker (the exact first-true detection cycle).
-    let incremental = cfg.detection == DetectionMode::Incremental;
-    let mut dwg = incremental.then(|| DynamicWaitGraph::new(net.wait_vertex_count()));
-    let mut knot_live_since: Option<u64> = None;
-    if incremental {
-        net.enable_wait_tracking();
-    }
-
     // Progress watchdog state: the last cycle that showed any forward
     // motion, and the stall report if the watchdog fires.
     let mut last_progress: u64 = 0;
@@ -240,22 +215,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
         if let Some(f) = forensic.as_mut() {
             let (events, dropped) = net.take_trace();
             f.absorb(events, dropped);
-        }
-        // Incremental CWG maintenance: fold this cycle's wait-state events
-        // into the dynamic graph and refresh the knot verdict. The verdict
-        // is fingerprint-cached and S0-certified, so an unchanged (or
-        // provably knot-free) blocked population costs O(changes).
-        if let Some(d) = dwg.as_mut() {
-            net.drain_wait_updates(|id, up| match up {
-                WaitUpdate::Blocked { chain, requests } => d.stage_blocked(id, chain, requests),
-                WaitUpdate::Clear => d.stage_clear(id),
-            });
-            d.commit();
-            if d.has_knot() {
-                knot_live_since.get_or_insert(net.cycle());
-            } else {
-                knot_live_since = None;
-            }
         }
         for d in &ev.delivered {
             if d.recovered {
@@ -299,41 +258,13 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                 .count_cycles_every
                 .is_some_and(|every| measuring && detection_epoch.is_multiple_of(every));
 
-            // Incremental mode can prove this epoch identical to a
-            // previously verified clean one straight from the live
-            // fingerprint — skip the snapshot capture entirely (the real
-            // per-epoch saving; snapshot mode must capture to learn the
-            // same thing). Census epochs always capture: the cycle census
-            // reads the rebuilt graph.
-            let captured = match dwg.as_ref() {
-                Some(d) => {
-                    !(cfg.fingerprint_skip
-                        && !census_due
-                        && clean_fingerprint == Some(d.fingerprint()))
-                }
-                None => true,
-            };
-            if captured {
-                net.wait_snapshot_into(&mut arena);
-                if let Some(d) = dwg.as_ref() {
-                    // The lockstep invariant behind every incremental skip:
-                    // the event-patched state hashes identically to a fresh
-                    // capture.
-                    debug_assert_eq!(
-                        d.fingerprint(),
-                        arena.fingerprint(),
-                        "incremental wait-state diverged from the snapshot"
-                    );
-                }
-            }
+            net.wait_snapshot_into(&mut arena);
 
             // Fast paths: with nothing blocked there are no dashed arcs, so
             // neither knots nor resource cycles can exist; and when the
             // blocked wait-state fingerprint matches a previous verified
-            // clean epoch, the verdict carries over unchanged. An
-            // uncaptured epoch already proved the latter.
-            let skip = !captured
-                || arena.num_blocked() == 0
+            // clean epoch, the verdict carries over unchanged.
+            let skip = arena.num_blocked() == 0
                 || (cfg.fingerprint_skip && clean_fingerprint == Some(arena.fingerprint()));
 
             // The graph is needed for a full analysis, and also when a
@@ -348,31 +279,19 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                 Analysis {
                     deadlocks: Vec::new(),
                     dependent: Vec::new(),
-                    num_blocked: match dwg.as_ref() {
-                        Some(d) if !captured => d.num_blocked(),
-                        _ => arena.num_blocked(),
-                    },
+                    num_blocked: arena.num_blocked(),
                 }
             } else {
                 graph.analyze_with(cfg.density_cap, &mut scratch)
             };
-            if captured {
-                clean_fingerprint = if analysis.has_deadlock() {
-                    None
-                } else {
-                    Some(arena.fingerprint())
-                };
-            }
-            // (On an uncaptured epoch the fingerprint matched
-            // `clean_fingerprint` by construction — nothing to update.)
+            clean_fingerprint = if analysis.has_deadlock() {
+                None
+            } else {
+                Some(arena.fingerprint())
+            };
 
-            // Exact formation cycle per knot, identical in both detection
-            // modes: a knot exists only once every member is blocked, so
-            // its formation is the latest member block stamp. (The dynamic
-            // CWG's first-true cycle can be later still — a foreign message
-            // taking the last escape VC closes the knot without any member
-            // re-blocking — which is why `knot_live_since` is reported to
-            // observers but kept out of the digest.)
+            // Formation cycle per knot: a knot exists only once every member
+            // is blocked, so its formation is the latest member block stamp.
             let formation: Vec<u64> = analysis
                 .deadlocks
                 .iter()
@@ -408,8 +327,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
                     arena: &arena,
                     analysis: &analysis,
                     skipped: skip,
-                    captured,
-                    knot_live_since,
                     net: &net,
                 };
                 if obs.on_epoch(&view).is_break() {
@@ -474,7 +391,6 @@ fn run_impl(cfg: &RunConfig, obs: &mut dyn RunObserver, stepper: Stepper) -> Run
             // part of the record; the CWG comes from the immutable arena,
             // so it is the pre-recovery graph.
             if let Some(f) = forensic.as_mut() {
-                debug_assert!(analysis.deadlocks.is_empty() || arena.cycle() == net.cycle());
                 f.record_epoch(cfg, &arena, &analysis, &epoch_victims, &formation, &mut res);
             }
 
@@ -665,9 +581,10 @@ mod tests {
     }
 
     /// The fingerprint skip is an exact optimization: every measured
-    /// counter must be byte-identical with it on and off, both on a
-    /// deadlock-free point (where the skip fires constantly) and on a
-    /// deadlock-heavy one (where clean stretches between knots still skip).
+    /// counter must be byte-identical with it on and off, on a
+    /// deadlock-free point (where the skip fires constantly), on a
+    /// deadlock-heavy one (where clean stretches between knots still
+    /// skip), and with every cycle a detection epoch.
     #[test]
     fn fingerprint_skip_preserves_all_counters() {
         let mut clean = RunConfig::small_default();
@@ -683,7 +600,15 @@ mod tests {
         heavy.load = 1.0;
         heavy.count_cycles_every = Some(3);
 
-        for mut cfg in [clean, heavy] {
+        let mut every_cycle = RunConfig::small_default();
+        every_cycle.topology = TopologySpec::torus(4, 2, false);
+        every_cycle.sim.vcs_per_channel = 1;
+        every_cycle.warmup = 100;
+        every_cycle.measure = 400;
+        every_cycle.load = 1.0;
+        every_cycle.detection_interval = 1;
+
+        for mut cfg in [clean, heavy, every_cycle] {
             cfg.fingerprint_skip = true;
             let on = quick(&cfg);
             cfg.fingerprint_skip = false;
@@ -695,6 +620,7 @@ mod tests {
                 off.resolution_latency.count()
             );
             assert_eq!(on.deadlock_set.count(), off.deadlock_set.count());
+            assert_eq!(on.digest(), off.digest(), "{}", cfg.label());
         }
     }
 

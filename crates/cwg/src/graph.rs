@@ -170,7 +170,7 @@ impl WaitGraph {
     ///
     /// The resulting graph is edge-for-edge identical to one freshly built
     /// from the same snapshot with `msg`'s requests omitted, which is what
-    /// makes the recovery loop's incremental re-analysis exact.
+    /// makes the recovery loop's in-place re-analysis exact.
     pub fn remove_requests(&mut self, msg: MessageId) -> bool {
         let Some(&slot) = self.index.get(&msg) else {
             return false;

@@ -49,7 +49,6 @@ mod adjacency;
 mod analysis;
 mod cycles;
 mod dot;
-mod dynamic;
 mod graph;
 pub mod jsonio;
 mod scc;
@@ -58,7 +57,6 @@ mod serialize;
 pub use adjacency::{Adjacency, Csr};
 pub use analysis::{Analysis, Deadlock, DeadlockKind, DependentKind, DetectorScratch};
 pub use cycles::{count_cycles, CycleCount, CycleScratch};
-pub use dynamic::DynamicWaitGraph;
 pub use graph::{Edge, MessageId, VertexId, WaitGraph};
 pub use scc::SccScratch;
 pub use serialize::{analyses_equal, graphs_equal};

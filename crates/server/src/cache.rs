@@ -2,11 +2,10 @@
 //!
 //! Every completed configuration is stored under a key derived from its
 //! *canonical digest*: the full [`config_to_json`] rendering (seed and
-//! fault plan included) with `detection` normalized to snapshot — both
-//! detectors are digest-identical, so the mode may not fragment the cache
-//! — concatenated with [`flexsim::ENGINE_VERSION`]. The retired
-//! `transfer_threads` and `shards` keys are always rendered as `1`, so
-//! keys written before those knobs were removed still match.
+//! fault plan included) concatenated with [`flexsim::ENGINE_VERSION`].
+//! The retired knobs are always rendered the same way — `transfer_threads`
+//! and `shards` as `1`, `detection` as `"snapshot"` — so keys written
+//! before those knobs were removed still match.
 //! Resubmitting any previously run configuration is answered from disk
 //! without simulating; an engine-semantics bump invalidates everything
 //! at once by changing every key.
@@ -34,15 +33,10 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
     h
 }
 
-/// The canonical config text a cache key digests: config JSON with
-/// `detection` pinned to snapshot, plus the engine version. The detection
-/// mode is digest-neutral (the incremental detector produces
-/// byte-identical results), so leaving it in the key would fragment the
-/// cache with duplicate results.
+/// The canonical config text a cache key digests: config JSON plus the
+/// engine version.
 pub fn canonical_config(cfg: &RunConfig) -> String {
-    let mut c = cfg.clone();
-    c.detection = flexsim::DetectionMode::Snapshot;
-    format!("{}\u{0}{ENGINE_VERSION}", config_to_json(&c))
+    format!("{}\u{0}{ENGINE_VERSION}", config_to_json(cfg))
 }
 
 /// 128-bit content key as 32 hex chars (two FNV-1a streams with distinct
@@ -151,8 +145,8 @@ mod tests {
     }
 
     /// Keys are durable across engine refactors: these values were
-    /// computed before the retired `transfer_threads` / `shards` knobs were
-    /// removed, and every stored cache entry depends on them staying put.
+    /// computed before the retired `transfer_threads` / `shards` /
+    /// `detection` knobs were removed, and every stored cache entry depends on them staying put.
     #[test]
     fn keys_are_pinned() {
         assert_eq!(
@@ -166,20 +160,46 @@ mod tests {
 
     /// Grid and incident JSON written while the retired knobs existed may
     /// carry any value for them; both decode and land on the same key.
+    /// The seed and the fault plan, unlike the retired knobs, are part of
+    /// a config's identity.
     #[test]
     fn retired_knobs_in_old_json_do_not_fragment() {
         let retire = |text: String| {
-            let old = text.replace(
-                "\"transfer_threads\":1,\"shards\":1",
-                "\"shards\":4,\"transfer_threads\":3",
+            let old = text
+                .replace(
+                    "\"transfer_threads\":1,\"shards\":1",
+                    "\"shards\":4,\"transfer_threads\":3",
+                )
+                .replace(
+                    "\"detection\":\"snapshot\"",
+                    "\"detection\":\"incremental\"",
+                );
+            assert_eq!(old.matches("\"incremental\"").count(), 1);
+            assert!(
+                old.contains("\"shards\":4"),
+                "the retired keys are rendered"
             );
-            assert_ne!(old, text, "the retired keys are rendered");
             old
         };
         let cfg = quick_cfg();
         let grid = retire(obj(vec![("base", config_to_json(&cfg))]).to_string());
         let grid = crate::SweepGrid::from_json(&grid).unwrap();
         assert_eq!(config_key(&grid.base), config_key(&cfg));
+
+        let mut c = cfg.clone();
+        c.seed ^= 1;
+        assert_ne!(
+            config_key(&cfg),
+            config_key(&c),
+            "seed is part of the identity"
+        );
+        let mut d = cfg.clone();
+        d.faults.link_outage(0, 10, 20);
+        assert_ne!(
+            config_key(&cfg),
+            config_key(&d),
+            "fault plan is part of the identity"
+        );
 
         // A real incident from a known-deadlocking config.
         let mut dl = RunConfig::small_default();
@@ -196,32 +216,6 @@ mod tests {
         let text = retire(inc.to_json_string());
         let back = flexsim::forensics::DeadlockIncident::from_json_str(&text).unwrap();
         assert_eq!(config_key(&back.config), config_key(&dl));
-    }
-
-    #[test]
-    fn key_ignores_detection_mode_but_not_seed() {
-        let a = quick_cfg();
-        let mut b = a.clone();
-        b.detection = flexsim::DetectionMode::Incremental;
-        assert_eq!(
-            config_key(&a),
-            config_key(&b),
-            "detection mode must not fragment"
-        );
-        let mut c = a.clone();
-        c.seed ^= 1;
-        assert_ne!(
-            config_key(&a),
-            config_key(&c),
-            "seed is part of the identity"
-        );
-        let mut d = a.clone();
-        d.faults.link_outage(0, 10, 20);
-        assert_ne!(
-            config_key(&a),
-            config_key(&d),
-            "fault plan is part of the identity"
-        );
     }
 
     #[test]

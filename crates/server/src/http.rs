@@ -16,6 +16,16 @@ use std::time::Duration;
 /// this bound exists to shed hostile inputs, not to constrain use).
 pub const MAX_BODY: usize = 16 << 20;
 
+/// Longest accepted request or header line, line ending included.
+pub const MAX_LINE: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 64;
+
+/// Read and write timeout on every accepted connection, so a client that
+/// connects and then stalls frees its handler instead of holding it.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// One parsed request.
 #[derive(Debug)]
 pub struct Request {
@@ -29,12 +39,22 @@ fn bad_input(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Reads one request from the stream. Returns `Err` on malformed input;
-/// the caller answers 400 and closes.
+/// Appends one line to `buf`, refusing lines longer than [`MAX_LINE`].
+fn read_capped_line(reader: &mut impl BufRead, buf: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE as u64 + 1).read_line(buf)?;
+    if n > MAX_LINE {
+        return Err(bad_input("line too long"));
+    }
+    Ok(n)
+}
+
+/// Reads one request from the stream. Returns `Err` on malformed input
+/// (including over-long lines and too many headers); the caller answers
+/// 400 and closes.
 pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_capped_line(&mut reader, &mut line)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -47,14 +67,19 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Request> {
     }
 
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
         let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        if read_capped_line(&mut reader, &mut h)? == 0 {
             return Err(bad_input("connection closed inside headers"));
         }
         let t = h.trim();
         if t.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(bad_input("too many headers"));
         }
         if let Some((k, v)) = t.split_once(':') {
             if k.trim().eq_ignore_ascii_case("content-length") {
@@ -277,5 +302,54 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         assert!(read_request(&stream).is_err());
         client.join().unwrap();
+    }
+
+    /// Sends `raw` from a client thread and returns what `read_request`
+    /// made of it. The client ignores write errors: the server may close
+    /// before reading everything.
+    fn parse_raw(raw: Vec<u8>) -> io::Result<Request> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let _ = s.write_all(&raw);
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let req = read_request(&stream);
+        drop(stream);
+        client.join().unwrap();
+        req
+    }
+
+    #[test]
+    fn over_long_lines_rejected() {
+        let long = "a".repeat(MAX_LINE);
+        let err = parse_raw(format!("GET /{long} HTTP/1.1\r\n\r\n").into_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "line too long");
+        let err =
+            parse_raw(format!("GET / HTTP/1.1\r\nX: {long}\r\n\r\n").into_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "line too long");
+        // An unterminated line is cut off at the cap, not buffered whole.
+        let err = parse_raw(vec![b'a'; 4 * MAX_LINE]).unwrap_err();
+        assert_eq!(err.to_string(), "line too long");
+        // A line just under the cap is fine.
+        let path = "a".repeat(MAX_LINE - "GET / HTTP/1.1\r\n".len());
+        let req = parse_raw(format!("GET /{path} HTTP/1.1\r\n\r\n").into_bytes()).unwrap();
+        assert_eq!(req.path.len(), path.len() + 1);
+    }
+
+    #[test]
+    fn too_many_headers_rejected() {
+        let headers = |n: usize| {
+            let mut raw = String::from("GET /stats HTTP/1.1\r\n");
+            for i in 0..n {
+                raw.push_str(&format!("X-H{i}: v\r\n"));
+            }
+            raw.push_str("\r\n");
+            raw.into_bytes()
+        };
+        assert!(parse_raw(headers(MAX_HEADERS)).is_ok());
+        let err = parse_raw(headers(MAX_HEADERS + 1)).unwrap_err();
+        assert_eq!(err.to_string(), "too many headers");
     }
 }

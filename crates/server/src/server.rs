@@ -52,7 +52,9 @@ use flexsim::{restore_checkpoint, RunResult, SweepError, SweepOptions, ENGINE_VE
 
 use crate::cache::ResultCache;
 use crate::grid::SweepGrid;
-use crate::http::{read_request, respond_error, respond_json, respond_with_headers, Request};
+use crate::http::{
+    read_request, respond_error, respond_json, respond_with_headers, Request, IO_TIMEOUT,
+};
 use crate::lease::LeaseDir;
 use crate::signal;
 use crate::state::{Job, Shared, SlotState};
@@ -236,6 +238,8 @@ impl CampaignServer {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(false);
+                    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                     let _ = tx.send(stream);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {

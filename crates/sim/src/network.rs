@@ -313,28 +313,6 @@ pub struct Network {
     /// Count of active messages with `blocked` set (both steppers).
     blocked_ctr: usize,
 
-    /// When set, every event that can change a message's blocked
-    /// wait-state (block/unblock, chain growth or release while blocked,
-    /// recovery, drop, delivery) appends its id to
-    /// [`Self::wait_dirty`]. Drained by
-    /// [`Self::drain_wait_updates`](crate::snapshot) for the incremental
-    /// detector. Off by default: a single `Vec` push per event, no
-    /// other cost.
-    pub(crate) wait_tracking: bool,
-    /// Message ids whose wait-state may have changed since the last
-    /// drain. Over-marking is fine (the drain re-extracts ground truth
-    /// per id); duplicates are deduped at drain time.
-    pub(crate) wait_dirty: Vec<MessageId>,
-    /// Set when a fault transition changes the failed-channel map: the
-    /// routing candidates of *every* blocked message may change, so the
-    /// next drain re-extracts all of them.
-    pub(crate) wait_dirty_all: bool,
-    /// Scratch for [`drain_wait_updates`](Self::drain_wait_updates):
-    /// one message's chain+requests.
-    pub(crate) wait_buf: Vec<u32>,
-    /// Scratch for the drain's candidate recomputation.
-    pub(crate) wait_cand: Vec<Candidate>,
-
     /// Scratch: start-of-cycle occupancies.
     occ_start: Vec<u16>,
     /// Scratch: routing candidates.
@@ -445,11 +423,6 @@ impl Network {
             release_deferred: Vec::new(),
             release_flag: vec![],
             blocked_ctr: 0,
-            wait_tracking: false,
-            wait_dirty: Vec::new(),
-            wait_dirty_all: false,
-            wait_buf: Vec::new(),
-            wait_cand: Vec::new(),
             occ_start: vec![0; n_vcs],
             cand_buf: Vec::new(),
             tracer: None,
@@ -567,11 +540,6 @@ impl Network {
             );
         }
         self.failed[ch.idx()] = true;
-        // Any blocked header may have held this channel's VCs in its
-        // candidate set, so every wait record is suspect.
-        if self.wait_tracking {
-            self.wait_dirty_all = true;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -635,9 +603,6 @@ impl Network {
             return;
         }
         self.failed[ch] = true;
-        // Every blocked message's fault-filtered candidate set may have
-        // shrunk: re-extract all of them at the next drain.
-        self.wait_dirty_all = true;
         let vcs_per = self.vcs_per();
         let base = ch * vcs_per;
         let mut victims: Vec<u32> = (base..base + vcs_per)
@@ -663,8 +628,6 @@ impl Network {
             return;
         }
         self.failed[ch] = false;
-        // Blocked candidate sets may have grown back.
-        self.wait_dirty_all = true;
         if self.mode == StepMode::Dense {
             return;
         }
@@ -781,9 +744,6 @@ impl Network {
         if was_blocked {
             self.blocked_ctr -= 1;
         }
-        if self.wait_tracking {
-            self.wait_dirty.push(id);
-        }
         if held_injection {
             let node = src.idx();
             self.injecting_count[node] -= 1;
@@ -854,9 +814,6 @@ impl Network {
                     id,
                 });
             }
-        }
-        if self.wait_tracking {
-            self.wait_dirty.push(id);
         }
         if self.mode != StepMode::Dense {
             // Pull the message out of the allocation machinery and onto the
@@ -1193,9 +1150,6 @@ impl Network {
                     msg.phase = MsgPhase::Ejecting;
                     if msg.blocked {
                         self.blocked_ctr -= 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
                     }
                     msg.blocked = false;
                     msg.blocked_since = None;
@@ -1209,9 +1163,6 @@ impl Network {
                     msg.blocked = true;
                     msg.blocked_since = Some(self.cycle);
                     self.blocked_ctr += 1;
-                    if self.wait_tracking {
-                        self.wait_dirty.push(msg.id);
-                    }
                     if let Some(t) = self.tracer.as_mut() {
                         // Waiting on the destination's reception channels,
                         // not on any link.
@@ -1238,9 +1189,6 @@ impl Network {
                 Some(vc_idx) => {
                     if msg.blocked {
                         self.blocked_ctr -= 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
                     }
                     acquire_vc(
                         VcState {
@@ -1270,9 +1218,6 @@ impl Network {
                         msg.blocked = true;
                         msg.blocked_since = Some(self.cycle);
                         self.blocked_ctr += 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
                         if let Some(t) = self.tracer.as_mut() {
                             t.push(crate::TraceEvent::Blocked {
                                 cycle: self.cycle,
@@ -1389,11 +1334,6 @@ impl Network {
     fn finish_slot(&mut self, slot: u32) {
         let msg = self.messages[slot as usize].take().expect("finished slot");
         debug_assert!(!msg.blocked, "draining messages are never blocked");
-        if self.wait_tracking {
-            // Conservative: the id leaves the network entirely; the drain
-            // resolves it to a clear (id_map lookup misses).
-            self.wait_dirty.push(msg.id);
-        }
         self.id_map.remove(msg.id);
         let i = self.active_idx[slot as usize] as usize;
         debug_assert_eq!(self.active[i], slot);
@@ -1437,10 +1377,6 @@ impl Network {
                     self.owned_per_channel[front as usize / self.cfg.vcs_per_channel] -= 1;
                     msg.chain.pop_front();
                     msg.front_seq += 1;
-                    if self.wait_tracking && msg.blocked {
-                        // A blocked message's settled chain shrank.
-                        self.wait_dirty.push(msg.id);
-                    }
                     if let Some(&nf) = msg.chain.front() {
                         // The new front is now fed straight from the source
                         // (which is drained: releases need uninjected == 0).
@@ -1800,9 +1736,6 @@ impl Network {
                 msg.phase = MsgPhase::Ejecting;
                 if msg.blocked {
                     self.blocked_ctr -= 1;
-                    if self.wait_tracking {
-                        self.wait_dirty.push(msg.id);
-                    }
                 }
                 msg.blocked = false;
                 msg.blocked_since = None;
@@ -1822,9 +1755,6 @@ impl Network {
                         msg.blocked = true;
                         msg.blocked_since = Some(self.cycle);
                         self.blocked_ctr += 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
                         let id = msg.id;
                         if let Some(t) = self.tracer.as_mut() {
                             // Waiting on the destination's reception
@@ -1875,9 +1805,6 @@ impl Network {
                     self.cand_cache_valid[s] = false;
                     if msg.blocked {
                         self.blocked_ctr -= 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
                     }
                     acquire_vc(
                         VcState {
@@ -1909,9 +1836,6 @@ impl Network {
                         msg.blocked = true;
                         msg.blocked_since = Some(self.cycle);
                         self.blocked_ctr += 1;
-                        if self.wait_tracking {
-                            self.wait_dirty.push(msg.id);
-                        }
                         let id = msg.id;
                         if let Some(t) = self.tracer.as_mut() {
                             t.push(crate::TraceEvent::Blocked {
@@ -2221,10 +2145,6 @@ impl Network {
                 let msg = self.messages[s].as_mut().expect("release slot");
                 msg.chain.pop_front();
                 msg.front_seq += 1;
-                if self.wait_tracking && msg.blocked {
-                    // A blocked message's settled chain shrank.
-                    self.wait_dirty.push(msg.id);
-                }
                 if let Some(&nf) = msg.chain.front() {
                     // The new front is fed straight from the (drained)
                     // source.

@@ -32,23 +32,6 @@ use crate::MessageId;
 use icn_routing::Candidate;
 use icn_topology::ChannelId;
 
-/// One drained wait-state change for a message id: its fresh blocked
-/// record, or the fact that it is no longer blocked (delivered, moving,
-/// recovering, or dropped). Produced by [`Network::drain_wait_updates`].
-#[derive(Clone, Copy, Debug)]
-pub enum WaitUpdate<'a> {
-    /// The message is blocked with this `(settled chain, requests)` record
-    /// (requests may be empty for a fault-stranded message).
-    Blocked {
-        /// Settled chain, acquisition order (tail-most first).
-        chain: &'a [u32],
-        /// Blocked request targets.
-        requests: &'a [u32],
-    },
-    /// The message is not (or no longer) blocked.
-    Clear,
-}
-
 /// One message's contribution to the wait-for snapshot.
 #[derive(Clone, Debug)]
 pub struct SnapshotMsg {
@@ -258,8 +241,7 @@ impl Network {
             // finishes (blocked messages only; draining messages are CWG
             // sinks either way, so their full chain is fine and cheaper).
             let chain_len = if blocked {
-                self.blocked_wait_record(slot, cand_buf, pool)
-                    .expect("routing+blocked message has a wait record") as u32
+                self.blocked_wait_record(slot, cand_buf, pool) as u32
             } else {
                 pool.extend(msg.chain.iter().copied());
                 if msg.phase == MsgPhase::Ejecting {
@@ -302,21 +284,17 @@ impl Network {
         self.topo.num_channels() * self.vcs_per() + self.topo.num_nodes() * self.reception_per_node
     }
 
-    /// Appends the wait record of the (routing, blocked) message in `slot`
-    /// to `out` — settled chain first, then request targets — and returns
-    /// the chain length, or `None` when the message is not blocked (or
-    /// holds nothing). Shared by the snapshot fill and the incremental
-    /// drain, so both extract byte-identical records by construction.
+    /// Appends the wait record of the (routing, blocked, chain-holding)
+    /// message in `slot` to `out` — settled chain first, then request
+    /// targets — and returns the chain length.
     fn blocked_wait_record(
         &self,
         slot: u32,
         cand_buf: &mut Vec<Candidate>,
         out: &mut Vec<u32>,
-    ) -> Option<usize> {
+    ) -> usize {
         let msg = self.messages[slot as usize].as_ref().expect("live slot");
-        if msg.chain.is_empty() || msg.phase != MsgPhase::Routing || !msg.blocked {
-            return None;
-        }
+        debug_assert!(!msg.chain.is_empty() && msg.phase == MsgPhase::Routing && msg.blocked);
         let vcs_per = self.vcs_per();
         let start = out.len();
         let remaining = (msg.len - msg.delivered) as usize;
@@ -344,18 +322,7 @@ impl Network {
                 out.extend(cand.vcs.iter().map(|v| (base + v) as u32));
             }
         }
-        Some(chain_len)
-    }
-
-    /// Turns on wait-state event tracking: from now on every transition
-    /// that can change a blocked message's `(settled chain, requests)`
-    /// record marks the message dirty, and
-    /// [`drain_wait_updates`](Self::drain_wait_updates) replays the
-    /// net effect. The currently blocked population (if any) is marked
-    /// wholesale so the first drain starts from ground truth.
-    pub fn enable_wait_tracking(&mut self) {
-        self.wait_tracking = true;
-        self.wait_dirty_all = true;
+        chain_len
     }
 
     /// The cycle at which `id` last became blocked, if it is currently
@@ -366,56 +333,6 @@ impl Network {
             .as_ref()
             .expect("live slot")
             .blocked_since
-    }
-
-    /// Replays the net effect of every wait-state change since the last
-    /// drain, in ascending id order: for each possibly-changed message the
-    /// sink receives either its current `(settled chain, requests)` record
-    /// (same extraction as [`wait_snapshot_into`](Self::wait_snapshot_into))
-    /// or [`WaitUpdate::Clear`]. Marking is conservative — a sink must
-    /// treat a re-sent unchanged record or a `Clear` for an untracked id
-    /// as a no-op (both are, for [`icn_cwg::DynamicWaitGraph`]'s
-    /// stage/commit API).
-    pub fn drain_wait_updates(&mut self, mut sink: impl FnMut(MessageId, WaitUpdate<'_>)) {
-        debug_assert!(self.wait_tracking, "drain without enable_wait_tracking");
-        if self.wait_dirty_all {
-            self.wait_dirty_all = false;
-            // Re-extract every active message; ids that left the network
-            // keep their individual dirty marks from `finish_slot`.
-            let slot_id = &self.slot_id;
-            self.wait_dirty
-                .extend(self.active.iter().map(|&s| slot_id[s as usize]));
-        }
-        if self.wait_dirty.is_empty() {
-            return;
-        }
-        let mut dirty = std::mem::take(&mut self.wait_dirty);
-        let mut cand_buf = std::mem::take(&mut self.wait_cand);
-        let mut out = std::mem::take(&mut self.wait_buf);
-        dirty.sort_unstable();
-        dirty.dedup();
-        for &id in &dirty {
-            match self.id_map.get(id) {
-                None => sink(id, WaitUpdate::Clear),
-                Some(slot) => {
-                    out.clear();
-                    match self.blocked_wait_record(slot, &mut cand_buf, &mut out) {
-                        Some(chain_len) => sink(
-                            id,
-                            WaitUpdate::Blocked {
-                                chain: &out[..chain_len],
-                                requests: &out[chain_len..],
-                            },
-                        ),
-                        None => sink(id, WaitUpdate::Clear),
-                    }
-                }
-            }
-        }
-        dirty.clear();
-        self.wait_dirty = dirty;
-        self.wait_cand = cand_buf;
-        self.wait_buf = out;
     }
 
     /// Takes a wait-for snapshot of the current state.

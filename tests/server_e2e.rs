@@ -21,6 +21,7 @@ use deadlock_characterization::flexsim::jsonio::{parse, Json};
 use deadlock_characterization::flexsim::{
     decode_result, sweep_supervised, RunConfig, SweepOptions,
 };
+use deadlock_characterization::server::http::IO_TIMEOUT;
 use deadlock_characterization::server::{
     http_request, http_request_full, CampaignServer, ServerOptions, SweepGrid,
 };
@@ -459,6 +460,34 @@ fn bad_requests_get_clean_errors() {
     assert!(body.contains("error"), "errors are JSON: {body}");
     let (status, _) = http_request(addr, "GET", "/jobs/abc", None).unwrap();
     assert_eq!(status, 400);
+
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Clients that connect and send nothing must not hold the handler pool:
+/// with both default handlers parked on idle sockets, a real request is
+/// still answered once the idle reads time out.
+#[test]
+fn idle_clients_cannot_hold_the_handler_pool() {
+    let dir = temp_dir("idle");
+    let (addr, handle) = start_server(&dir, 1);
+    assert_eq!(ServerOptions::new(&dir).http_threads, 2);
+
+    let idle: Vec<std::net::TcpStream> = (0..2)
+        .map(|_| std::net::TcpStream::connect(addr).unwrap())
+        .collect();
+    // Let the accept loop hand both idle sockets to the handlers.
+    std::thread::sleep(Duration::from_millis(300));
+    let started = Instant::now();
+    let (status, body) = http_request(addr, "GET", "/stats", None).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        waited < IO_TIMEOUT + Duration::from_secs(3),
+        "/stats took {waited:?} behind two idle clients"
+    );
+    drop(idle);
 
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
