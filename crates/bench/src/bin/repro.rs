@@ -57,14 +57,16 @@
 //! non-zero on any divergence, which makes it CI-able without network
 //! egress.
 //!
-//! `repro chaos` is the crash-tolerance harness: each iteration runs a
-//! small grid on a two-process fleet sharing one data dir, SIGKILLs one
-//! member mid-sweep (on odd iterations the replacement is started with a
-//! rename-time crash injected into its durable cache writes, so it
-//! aborts itself mid-sweep too), garbles the quiescent checkpoint tail
-//! between lives, and asserts the survivors converge to results
-//! digest-identical to a clean in-process `sweep_supervised` of the same
-//! grid. Exits non-zero on the first divergence.
+//! `repro chaos` is the crash-tolerance harness: each iteration runs the
+//! fleet crash storyline of `icn_server::chaos::storyline` (the one the
+//! `server_chaos` tests run) on `repro serve` processes. A first member
+//! dies mid-sweep — SIGKILLed on even iterations, aborting itself at an
+//! injected rename-time crash on odd ones — the quiescent checkpoint is
+//! garbled and torn, and a two-member fleet resumes with one of them
+//! SIGKILLed too. The survivor must converge to results digest-identical
+//! to a clean in-process `sweep_supervised` of the same grid, with the
+//! garbled record detected and quarantined. Exits non-zero if any
+//! iteration fails.
 //!
 //! `repro validate` runs the validation layer: the production detector
 //! is differentially checked against the independent naive oracle and
@@ -85,6 +87,8 @@ use flexsim::{
     TopologySpec,
 };
 use icn_metrics::Histogram;
+use icn_server::chaos::{self, Death, Member};
+use icn_server::Client;
 use std::time::Instant;
 
 /// Parses `--flag value` from the argument list.
@@ -93,6 +97,17 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// Parses `--flag N`, or returns `default` when the flag is absent. A
+/// value that does not parse exits with status 2.
+fn flag_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    flag_value(args, flag).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} wants an integer, got `{v}`");
+            std::process::exit(2);
+        })
+    })
 }
 
 fn hist_row(name: &str, h: &Histogram) -> Vec<String> {
@@ -110,14 +125,6 @@ fn hist_row(name: &str, h: &Histogram) -> Vec<String> {
 fn forensics_main(args: &[String]) -> i32 {
     let store_dir = flag_value(args, "--store").unwrap_or("incidents");
     let with_prefix = !args.iter().any(|a| a == "--no-prefix");
-    let parse_u64 = |flag: &str, default: u64| {
-        flag_value(args, flag).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} wants an integer, got `{v}`");
-                std::process::exit(2);
-            })
-        })
-    };
 
     // The Figure-6 corner point scaled down: reliably knots within a few
     // hundred cycles and keeps every replay/minimization probe cheap.
@@ -127,10 +134,10 @@ fn forensics_main(args: &[String]) -> i32 {
     cfg.sim.vcs_per_channel = 1;
     cfg.load = 1.0;
     cfg.warmup = 400;
-    cfg.measure = parse_u64("--cycles", 1_600);
-    cfg.seed = parse_u64("--seed", cfg.seed);
+    cfg.measure = flag_num(args, "--cycles", 1_600);
+    cfg.seed = flag_num(args, "--seed", cfg.seed);
     cfg.forensics = Some(ForensicsConfig {
-        max_incidents: parse_u64("--max", 8) as usize,
+        max_incidents: flag_num(args, "--max", 8),
         ..ForensicsConfig::default()
     });
 
@@ -253,17 +260,9 @@ fn emit_divergence(repro: &str) {
 fn validate_main(args: &[String]) -> i32 {
     use flexsim::validate as v;
 
-    let parse_u64 = |flag: &str, default: u64| {
-        flag_value(args, flag).map_or(default, |val| {
-            val.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} wants an integer, got `{val}`");
-                std::process::exit(2);
-            })
-        })
-    };
-    let num_cwgs = parse_u64("--cwgs", 512);
-    let num_configs = parse_u64("--configs", 16) as usize;
-    let base_seed = parse_u64("--seed", 0xdeadbeef);
+    let num_cwgs = flag_num(args, "--cwgs", 512);
+    let num_configs = flag_num(args, "--configs", 16);
+    let base_seed = flag_num(args, "--seed", 0xdeadbeef);
     let explore = !args.iter().any(|a| a == "--no-explore");
     let started = Instant::now();
     let mut ok = true;
@@ -412,12 +411,7 @@ fn validate_main(args: &[String]) -> i32 {
 /// under `--expect-stall` — exactly 2 when the watchdog fired as
 /// expected.
 fn faults_main(args: &[String]) -> i32 {
-    let seed = flag_value(args, "--seed").map_or(0xfa17_5eed, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--seed wants an integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
+    let seed = flag_num(args, "--seed", 0xfa17_5eed);
 
     if args.iter().any(|a| a == "--expect-stall") {
         // A saturated single-VC unidirectional torus under TFAR with
@@ -532,33 +526,17 @@ fn faults_main(args: &[String]) -> i32 {
     }
 }
 
-/// The grid used by `repro serve --smoke`: 2 loads × 2 seeds on the
-/// scaled-down torus, small enough to finish in seconds.
-fn smoke_grid() -> icn_server::SweepGrid {
-    let mut base = RunConfig::small_default();
-    base.warmup = 200;
-    base.measure = 600;
-    icn_server::SweepGrid {
-        base,
-        seeds: vec![11, 12],
-        loads: vec![0.15, 0.25],
-        timeout_ms: None,
-    }
-}
-
-/// Spawns a sibling `repro serve` process on `dir` with an ephemeral
-/// port (published through `<dir>/<tag>.port`) and fleet knobs tightened
-/// for fast failure detection. Returns the child and its port file.
-fn spawn_serve(
+/// Starts a `repro serve` process on `dir` as a fleet member: an
+/// ephemeral port published through `<dir>/<tag>.port`, and fleet knobs
+/// tightened for fast failure detection.
+fn spawn_member(
     dir: &std::path::Path,
     tag: &str,
     workers: usize,
     crash_plan: Option<&str>,
-) -> Result<(std::process::Child, std::path::PathBuf), String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+) -> std::io::Result<Member> {
     let port_file = dir.join(format!("{tag}.port"));
-    let _ = std::fs::remove_file(&port_file);
-    let mut cmd = std::process::Command::new(exe);
+    let mut cmd = std::process::Command::new(std::env::current_exe()?);
     cmd.args(["serve", "--addr", "127.0.0.1:0", "--data"])
         .arg(dir)
         .args([
@@ -570,473 +548,149 @@ fn spawn_serve(
             "120",
             "--port-file",
         ])
-        .arg(&port_file)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null());
+        .arg(&port_file);
     if let Some(plan) = crash_plan {
         cmd.env("ICN_DURABLE_CRASH", plan);
     }
-    cmd.spawn()
-        .map(|child| (child, port_file))
-        .map_err(|e| format!("spawning {tag}: {e}"))
+    Member::spawn(cmd, port_file)
 }
 
-/// Polls a sibling's port file until it holds a bindable address.
-fn wait_addr(
-    child: &mut std::process::Child,
-    port_file: &std::path::Path,
-    timeout: std::time::Duration,
-) -> Result<std::net::SocketAddr, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Ok(text) = std::fs::read_to_string(port_file) {
-            if let Ok(addr) = text.trim().parse() {
-                return Ok(addr);
-            }
-        }
-        if let Ok(Some(status)) = child.try_wait() {
-            return Err(format!("sibling server exited before binding: {status}"));
-        }
-        if Instant::now() > deadline {
-            return Err(format!(
-                "sibling server never published {}",
-                port_file.display()
-            ));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-}
-
-/// Waits for a child to exit on its own (e.g. by injected crash).
-fn wait_exit(child: &mut std::process::Child, timeout: std::time::Duration) -> Result<(), String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match child.try_wait() {
-            Ok(Some(_)) => return Ok(()),
-            Ok(None) if Instant::now() > deadline => {
-                return Err("injected crash never fired".to_string())
-            }
-            Ok(None) => std::thread::sleep(std::time::Duration::from_millis(20)),
-            Err(e) => return Err(format!("waiting for sibling: {e}")),
-        }
-    }
-}
-
-/// Submits `grid` to a server and returns the job id.
-fn submit_grid(addr: std::net::SocketAddr, grid: &icn_server::SweepGrid) -> Result<u64, String> {
-    let (status, body) =
-        icn_server::http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string()))
-            .map_err(|e| format!("submit: {e}"))?;
-    if status != 200 {
-        return Err(format!("submit returned HTTP {status}: {body}"));
-    }
-    flexsim::jsonio::parse(&body)
-        .ok()
-        .and_then(|v| v.get("id").and_then(flexsim::jsonio::Json::as_u64))
-        .ok_or_else(|| format!("submit body lacks an id: {body}"))
-}
-
-/// Fetches `/jobs/:id/results` and returns the per-slot digests.
-fn fetch_digests(addr: std::net::SocketAddr, id: u64, n: usize) -> Result<Vec<String>, String> {
-    use flexsim::jsonio::Json;
-    let (status, stream) =
-        icn_server::http_request(addr, "GET", &format!("/jobs/{id}/results"), None)
-            .map_err(|e| format!("results: {e}"))?;
-    if status != 200 {
-        return Err(format!("results returned HTTP {status}"));
-    }
-    let mut got = vec![String::new(); n];
-    for line in stream.lines().filter(|l| !l.trim().is_empty()) {
-        let v = flexsim::jsonio::parse(line).map_err(|e| format!("bad result line: {e}"))?;
-        let idx = v
-            .get("index")
-            .and_then(Json::as_u64)
-            .ok_or("result line lacks an index")? as usize;
-        let r = v
-            .get("result")
-            .ok_or("result line lacks a result")
-            .and_then(|r| flexsim::decode_result(r).map_err(|_| "undecodable result"))?;
-        if idx < n {
-            got[idx] = r.digest();
-        }
-    }
-    Ok(got)
-}
-
-/// Polls `GET /jobs/:id` until the job settles. Returns the final status
-/// JSON, or an error string on timeout or transport failure.
-fn poll_job(
-    addr: std::net::SocketAddr,
-    id: u64,
-    timeout: std::time::Duration,
-) -> Result<flexsim::jsonio::Json, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let (status, body) = icn_server::http_request(addr, "GET", &format!("/jobs/{id}"), None)
-            .map_err(|e| format!("polling job {id}: {e}"))?;
-        if status != 200 {
-            return Err(format!("job {id} status returned HTTP {status}: {body}"));
-        }
-        let v = flexsim::jsonio::parse(&body).map_err(|e| format!("bad status JSON: {e}"))?;
-        if v.get("state").and_then(flexsim::jsonio::Json::as_str) == Some("done") {
-            return Ok(v);
-        }
-        if Instant::now() > deadline {
-            return Err(format!("job {id} did not settle in {timeout:?}: {body}"));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+/// Prefixes an I/O error with the step that met it.
+fn at(step: &'static str) -> impl Fn(std::io::Error) -> String {
+    move |e| format!("{step}: {e}")
 }
 
 /// The `--smoke` self-check body. Returns an error description on the
 /// first divergence.
 fn serve_smoke(data_dir: &std::path::Path, workers: usize) -> Result<(), String> {
-    use flexsim::jsonio::Json;
-
-    let grid = smoke_grid();
-    let configs = grid.expand();
+    let grid = chaos::grid();
     println!(
         "== campaign smoke: direct sweep of {} configs ==",
-        configs.len()
+        grid.expand().len()
     );
-    let direct = flexsim::sweep_supervised(&configs, &flexsim::SweepOptions::default());
-    let want: Vec<String> = direct
-        .iter()
-        .map(|r| r.as_ref().map(|x| x.digest()).unwrap_or_default())
-        .collect();
+    let want = grid.direct_digests();
 
     let mut opts = icn_server::ServerOptions::new(data_dir);
     opts.workers = workers;
     let server =
         icn_server::CampaignServer::bind("127.0.0.1:0", &opts).map_err(|e| format!("bind: {e}"))?;
-    let addr = server.addr();
-    println!("== campaign smoke: server on {addr} ==");
+    let api = Client(server.addr());
+    println!("== campaign smoke: server on {} ==", api.0);
     let handle = std::thread::spawn(move || server.serve());
-
-    let submit = |tag: &str| -> Result<u64, String> {
-        let (status, body) =
-            icn_server::http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string()))
-                .map_err(|e| format!("{tag} submit: {e}"))?;
-        if status != 200 {
-            return Err(format!("{tag} submit returned HTTP {status}: {body}"));
-        }
-        flexsim::jsonio::parse(&body)
-            .ok()
-            .and_then(|v| v.get("id").and_then(Json::as_u64))
-            .ok_or_else(|| format!("{tag} submit body lacks an id: {body}"))
-    };
-    let finish = |r: Result<(), String>| -> Result<(), String> {
-        // Always take the graceful path so the worker threads exit.
-        let _ = icn_server::http_request(addr, "POST", "/shutdown", None);
-        let joined = handle
-            .join()
-            .map_err(|_| "server thread panicked".to_string());
-        r.and_then(|()| joined.and_then(|io| io.map_err(|e| format!("serve: {e}"))))
-    };
-
-    let check = (|| -> Result<(), String> {
-        // Round 1: fresh submission must simulate everything and match
-        // the direct sweep digest-for-digest.
-        let id = submit("first")?;
-        poll_job(addr, id, std::time::Duration::from_secs(300))?;
-        let got = fetch_digests(addr, id, configs.len())?;
-        if got != want {
-            return Err(format!(
-                "digest mismatch vs direct sweep_supervised:\n  server: {got:?}\n  direct: {want:?}"
-            ));
-        }
-        println!(
-            "   {} results digest-identical to the direct sweep",
-            got.len()
-        );
-
-        // Round 2: identical resubmission must be answered entirely from
-        // the cache — zero new simulations.
-        let sims_before = stats_path(addr, &["sims_run"])?;
-        let id2 = submit("second")?;
-        let status2 = poll_job(addr, id2, std::time::Duration::from_secs(60))?;
-        let cached = status2.get("cached").and_then(Json::as_u64).unwrap_or(0);
-        let sims_after = stats_path(addr, &["sims_run"])?;
-        if sims_after != sims_before {
-            return Err(format!(
-                "resubmission ran {} new simulations (want 0)",
-                sims_after - sims_before
-            ));
-        }
-        if cached != configs.len() as u64 {
-            return Err(format!(
-                "resubmission reported {cached} cached slots (want {})",
-                configs.len()
-            ));
-        }
-        println!("   resubmission: {cached} cache hits, 0 new simulations");
-
-        // Round 3: a second server *process* joins the same data dir and
-        // takes a third identical submission — the content-addressed
-        // cache written by this process must answer across the process
-        // boundary, still without a single new simulation anywhere in
-        // the fleet.
-        let (mut sibling, port_file) = spawn_serve(data_dir, "smoke-sibling", 2, None)?;
-        let round3 = (|| -> Result<(), String> {
-            let addr2 = wait_addr(&mut sibling, &port_file, std::time::Duration::from_secs(30))?;
-            let id3 = submit_grid(addr2, &grid)?;
-            poll_job(addr2, id3, std::time::Duration::from_secs(60))?;
-            let got3 = fetch_digests(addr2, id3, configs.len())?;
-            if got3 != want {
-                return Err(format!(
-                    "second process served divergent digests:\n  fleet: {got3:?}\n  direct: {want:?}"
-                ));
-            }
-            // /stats is per-process; either member may have answered any
-            // slot (both scan the shared job), so the invariants are on
-            // the fleet-wide sums.
-            let sims = stats_path(addr, &["sims_run"])? + stats_path(addr2, &["sims_run"])?;
-            if sims != configs.len() as u64 {
-                return Err(format!(
-                    "fleet ran {sims} total simulations (want {} — the third \
-                     submission must be pure cache hits)",
-                    configs.len()
-                ));
-            }
-            let hits =
-                stats_path(addr, &["cache", "hits"])? + stats_path(addr2, &["cache", "hits"])?;
-            if hits < 2 * configs.len() as u64 {
-                return Err(format!(
-                    "fleet reports {hits} cache hits (want at least {})",
-                    2 * configs.len()
-                ));
-            }
-            let (st, _) = icn_server::http_request(addr2, "POST", "/shutdown", None)
-                .map_err(|e| format!("sibling shutdown: {e}"))?;
-            if st != 200 {
-                return Err(format!("sibling shutdown returned HTTP {st}"));
-            }
-            Ok(())
-        })();
-        if round3.is_err() {
-            let _ = sibling.kill();
-        }
-        let _ = sibling.wait();
-        round3?;
-        println!("   second process: cross-process cache hits, 0 new simulations");
-        Ok(())
-    })();
-    finish(check)
+    let check = smoke_rounds(data_dir, api, &grid, &want);
+    // Always take the graceful path so the worker threads exit.
+    let _ = api.shutdown();
+    let joined = handle.join();
+    check?;
+    joined
+        .map_err(|_| "server thread panicked".to_string())?
+        .map_err(|e| format!("serve: {e}"))
 }
 
-/// Reads one `u64` leaf out of `GET /stats` by key path.
-fn stats_path(addr: std::net::SocketAddr, path: &[&str]) -> Result<u64, String> {
-    let (status, body) =
-        icn_server::http_request(addr, "GET", "/stats", None).map_err(|e| format!("stats: {e}"))?;
-    if status != 200 {
-        return Err(format!("stats returned HTTP {status}"));
-    }
-    let v = flexsim::jsonio::parse(&body).map_err(|e| format!("bad stats JSON: {e}"))?;
-    let mut cur = &v;
-    for key in path {
-        cur = cur
-            .get(key)
-            .ok_or_else(|| format!("stats body lacks `{}`: {body}", path.join(".")))?;
-    }
-    cur.as_u64()
-        .ok_or_else(|| format!("stats `{}` is not a u64: {body}", path.join(".")))
-}
-
-/// The grid used by `repro chaos`: 3 loads × 3 seeds, wide enough that a
-/// kill reliably lands mid-sweep.
-fn chaos_grid() -> icn_server::SweepGrid {
-    let mut base = RunConfig::small_default();
-    base.warmup = 200;
-    base.measure = 600;
-    icn_server::SweepGrid {
-        base,
-        seeds: vec![31, 32, 33],
-        loads: vec![0.15, 0.2, 0.25],
-        timeout_ms: None,
-    }
-}
-
-/// Counts the newline-terminated, non-empty checkpoint lines (the torn
-/// tail, if any, is excluded).
-fn full_line_count(ckpt: &std::path::Path) -> usize {
-    let Ok(text) = std::fs::read_to_string(ckpt) else {
-        return 0;
-    };
-    let Some(end) = text.rfind('\n') else {
-        return 0;
-    };
-    text[..=end]
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .count()
-}
-
-/// Waits until the checkpoint holds at least `want` full lines.
-fn wait_lines(
-    ckpt: &std::path::Path,
-    want: usize,
-    timeout: std::time::Duration,
-) -> Result<usize, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let have = full_line_count(ckpt);
-        if have >= want {
-            return Ok(have);
-        }
-        if Instant::now() > deadline {
-            return Err(format!(
-                "checkpoint never reached {want} records (have {have})"
-            ));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-}
-
-/// Flips one byte in the middle of the last full checkpoint record —
-/// corruption at rest that the CRC framing must detect (quarantine the
-/// line, re-run the slot).
-fn garble_last_record(ckpt: &std::path::Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(ckpt).map_err(|e| format!("reading checkpoint: {e}"))?;
-    let end = text
-        .rfind('\n')
-        .ok_or("checkpoint has no full line to garble")?;
-    let start = text[..end].rfind('\n').map(|i| i + 1).unwrap_or(0);
-    if end <= start {
-        return Err("last checkpoint line is empty".to_string());
-    }
-    let mut bytes = text.into_bytes();
-    bytes[start + (end - start) / 2] ^= 0x01;
-    std::fs::write(ckpt, bytes).map_err(|e| format!("garbling checkpoint: {e}"))
-}
-
-/// Appends an unterminated framed fragment — the exact signature of a
-/// writer killed mid-append. Recovery must detect the torn tail and seal
-/// it with a guard newline.
-fn append_torn_fragment(ckpt: &std::path::Path) -> Result<(), String> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(ckpt)
-        .map_err(|e| format!("opening checkpoint: {e}"))?;
-    f.write_all(b"~2a:00000000:{\"index\":99,\"resul")
-        .map_err(|e| format!("tearing checkpoint tail: {e}"))
-}
-
-/// One chaos iteration. Returns a one-line summary on success.
-fn chaos_iteration(
-    iter: usize,
-    dir: &std::path::Path,
+/// The three `--smoke` rounds against the in-process server at `api`.
+fn smoke_rounds(
+    data_dir: &std::path::Path,
+    api: Client,
     grid: &icn_server::SweepGrid,
     want: &[String],
-    workers: usize,
-) -> Result<String, String> {
+) -> Result<(), String> {
     use flexsim::jsonio::Json;
     use std::time::Duration;
-
-    // Life 1: one fleet member alone, pinned to a single worker so the
-    // injected crash point is deterministic — with two workers the
-    // second store's abort-at-rename can land before the first worker's
-    // checkpoint append, leaving zero durable records. Odd iterations
-    // die by a rename-time crash injected into the durable cache writes
-    // (the process aborts itself mid-sweep); even iterations are
-    // SIGKILLed from outside once the first checkpoint record lands.
-    let crash = (iter % 2 == 1).then_some("cache/:2");
-    let (mut w1, pf1) = spawn_serve(dir, "w1", 1, crash)?;
-    let life1 = (|| -> Result<u64, String> {
-        let addr1 = wait_addr(&mut w1, &pf1, Duration::from_secs(30))?;
-        let id = submit_grid(addr1, grid)?;
-        let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
-        wait_lines(&ckpt, 1, Duration::from_secs(120))?;
-        if crash.is_some() {
-            wait_exit(&mut w1, Duration::from_secs(120))?;
-        } else {
-            let _ = w1.kill();
-        }
-        Ok(id)
-    })();
-    let _ = w1.kill();
-    let _ = w1.wait();
-    let id = life1?;
-
-    // Quiescent tampering: garble the last durable record and tear the
-    // tail the way a writer killed mid-append would.
-    let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
-    garble_last_record(&ckpt)?;
-    append_torn_fragment(&ckpt)?;
-    // Recovery seals the torn fragment into one (garbage) full line, so
-    // real progress in life 2 starts past `baseline + 1`.
-    let baseline = full_line_count(&ckpt);
-
-    // Life 2: two members race to finish the job; one is SIGKILLed as
-    // soon as the fleet makes progress, and the survivor converges.
-    let (mut w2, pf2) = spawn_serve(dir, "w2", workers, None)?;
-    let (mut w3, pf3) = spawn_serve(dir, "w3", workers, None)?;
-    let verdict = (|| -> Result<String, String> {
-        wait_addr(&mut w2, &pf2, Duration::from_secs(30))?;
-        let addr3 = wait_addr(&mut w3, &pf3, Duration::from_secs(30))?;
-        let _ = wait_lines(&ckpt, baseline + 2, Duration::from_secs(120));
-        let _ = w2.kill();
-        let _ = w2.wait();
-        let status = poll_job(addr3, id, Duration::from_secs(300))?;
-        let got = fetch_digests(addr3, id, want.len())?;
+    let n = want.len();
+    // Submits the grid through `api`, waits for the job to settle and
+    // compares every digest with the direct sweep; returns the status.
+    let submit_and_check = |api: Client, round: &str, timeout| -> Result<Json, String> {
+        let fail = |e: std::io::Error| format!("{round}: {e}");
+        let id = api.submit(grid).map_err(fail)?;
+        let status = api.wait_done(id, timeout).map_err(fail)?;
+        let got = api.results(id, n).map_err(fail)?.digests;
         if got != want {
             return Err(format!(
-                "digest mismatch after chaos:\n  fleet: {got:?}\n  direct: {want:?}"
+                "{round}: digest mismatch vs direct sweep_supervised:\n  \
+                 served: {got:?}\n  direct: {want:?}"
             ));
         }
-        // The loss accounting must be surfaced in the job status, and
-        // the garbled record must have been detected.
-        let ckrep = status
-            .get("checkpoint")
-            .ok_or("status lacks checkpoint accounting")?;
-        let corrupt = ckrep
-            .get("corrupt_frames")
-            .and_then(Json::as_u64)
-            .ok_or("status lacks checkpoint.corrupt_frames")?;
-        if corrupt == 0 {
-            return Err("the garbled record went undetected".to_string());
-        }
-        let reclaimed = status
-            .get("reclaimed_leases")
-            .and_then(Json::as_u64)
-            .ok_or("status lacks reclaimed_leases")?;
-        let _ = icn_server::http_request(addr3, "POST", "/shutdown", None);
-        Ok(format!(
-            "corrupt_frames={corrupt} reclaimed_leases={reclaimed}"
-        ))
-    })();
-    let _ = w2.kill();
-    let _ = w2.wait();
-    if verdict.is_err() {
-        let _ = w3.kill();
+        Ok(status)
+    };
+
+    // Round 1: fresh submission must simulate everything and match the
+    // direct sweep digest-for-digest.
+    submit_and_check(api, "first job", Duration::from_secs(300))?;
+    println!("   {n} results digest-identical to the direct sweep");
+
+    // Round 2: identical resubmission must be answered entirely from the
+    // cache — zero new simulations.
+    let sims_before = api.stat(&["sims_run"]).map_err(at("stats"))?;
+    let status2 = submit_and_check(api, "resubmission", Duration::from_secs(60))?;
+    let cached = status2.get("cached").and_then(Json::as_u64).unwrap_or(0);
+    let sims_after = api.stat(&["sims_run"]).map_err(at("stats"))?;
+    if sims_after != sims_before {
+        return Err(format!(
+            "resubmission ran {} new simulations (want 0)",
+            sims_after - sims_before
+        ));
     }
-    let _ = w3.wait();
-    verdict
+    if cached != n as u64 {
+        return Err(format!(
+            "resubmission reported {cached} cached slots (want {n})"
+        ));
+    }
+    println!("   resubmission: {cached} cache hits, 0 new simulations");
+
+    // Round 3: a second server *process* joins the same data dir and takes
+    // a third identical submission — the content-addressed cache written
+    // by this process must answer across the process boundary, still
+    // without a single new simulation anywhere in the fleet.
+    let mut sibling =
+        spawn_member(data_dir, "smoke-sibling", 2, None).map_err(at("spawning sibling"))?;
+    let sib = Client(
+        sibling
+            .addr(Duration::from_secs(30))
+            .map_err(at("sibling address"))?,
+    );
+    submit_and_check(sib, "second process", Duration::from_secs(60))?;
+    // /stats is per-process; either member may have answered any slot
+    // (both scan the shared job), so the invariants are on the fleet-wide
+    // sums.
+    let fleet_sum = |path: &[&str]| -> Result<u64, String> {
+        Ok(api.stat(path).map_err(at("stats"))? + sib.stat(path).map_err(at("sibling stats"))?)
+    };
+    let sims = fleet_sum(&["sims_run"])?;
+    if sims != n as u64 {
+        return Err(format!(
+            "fleet ran {sims} total simulations (want {n} — the third \
+             submission must be pure cache hits)"
+        ));
+    }
+    let hits = fleet_sum(&["cache", "hits"])?;
+    if hits < 2 * n as u64 {
+        return Err(format!(
+            "fleet reports {hits} cache hits (want at least {})",
+            2 * n
+        ));
+    }
+    sib.shutdown().map_err(at("sibling shutdown"))?;
+    let exit = sibling
+        .wait_exit(Duration::from_secs(60))
+        .map_err(at("sibling exit"))?;
+    if !exit.success() {
+        return Err(format!("sibling exited uncleanly: {exit}"));
+    }
+    println!("   second process: cross-process cache hits, 0 new simulations");
+    Ok(())
 }
 
 /// The `repro chaos` subcommand. Returns the process exit code.
 fn chaos_main(args: &[String]) -> i32 {
-    let iterations: usize = flag_value(args, "--iterations").map_or(3, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--iterations wants an integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
-    let workers: usize = flag_value(args, "--workers").map_or(2, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--workers wants an integer, got `{v}`");
-            std::process::exit(2);
-        })
-    });
+    let iterations: usize = flag_num(args, "--iterations", 3);
+    let workers: usize = flag_num(args, "--workers", 2);
 
-    let grid = chaos_grid();
-    let configs = grid.expand();
-    println!("== chaos: direct sweep of {} configs ==", configs.len());
-    let direct = flexsim::sweep_supervised(&configs, &flexsim::SweepOptions::default());
-    let want: Vec<String> = direct
-        .iter()
-        .map(|r| r.as_ref().map(|x| x.digest()).unwrap_or_default())
-        .collect();
+    let grid = chaos::grid();
+    println!(
+        "== chaos: direct sweep of {} configs ==",
+        grid.expand().len()
+    );
+    let want = grid.direct_digests();
 
     let root = std::env::temp_dir().join(format!("campaign-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -1047,10 +701,20 @@ fn chaos_main(args: &[String]) -> i32 {
             eprintln!("cannot create {}: {e}", dir.display());
             return 1;
         }
-        match chaos_iteration(iter, &dir, &grid, &want, workers) {
-            Ok(summary) => println!("== chaos iteration {iter}: PASS ({summary}) =="),
+        let death = if iter % 2 == 1 {
+            Death::InjectedCrash
+        } else {
+            Death::Sigkill
+        };
+        let mut spawn =
+            |tag: &str, workers, plan: Option<&str>| spawn_member(&dir, tag, workers, plan);
+        match chaos::storyline(&dir, &want, workers, death, &mut spawn) {
+            Ok(r) => println!(
+                "== chaos iteration {iter}: PASS ({death:?}; corrupt_frames={} reclaimed_leases={}) ==",
+                r.corrupt_frames, r.reclaimed_leases
+            ),
             Err(e) => {
-                eprintln!("== chaos iteration {iter}: FAIL — {e} ==");
+                eprintln!("== chaos iteration {iter}: FAIL ({death:?}) — {e} ==");
                 failures += 1;
             }
         }
@@ -1067,19 +731,8 @@ fn chaos_main(args: &[String]) -> i32 {
 
 /// The `repro serve` subcommand. Returns the process exit code.
 fn serve_main(args: &[String]) -> i32 {
-    let workers = flag_value(args, "--workers").map_or_else(
-        || {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-        },
-        |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("--workers wants an integer, got `{v}`");
-                std::process::exit(2);
-            })
-        },
-    );
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let workers = flag_num(args, "--workers", cores);
 
     if args.iter().any(|a| a == "--smoke") {
         let dir = std::env::temp_dir().join(format!("campaign-smoke-{}", std::process::id()));
@@ -1103,22 +756,17 @@ fn serve_main(args: &[String]) -> i32 {
     let mut opts = icn_server::ServerOptions::new(data);
     opts.workers = workers;
     opts.handle_sigint = true;
-    if let Some(ms) = flag_value(args, "--lease-ms") {
-        match ms.parse::<u64>() {
-            Ok(ms) if ms > 0 => opts.lease_expiry = std::time::Duration::from_millis(ms),
-            _ => {
-                eprintln!("--lease-ms wants a positive integer, got `{ms}`");
+    for (flag, knob) in [
+        ("--lease-ms", &mut opts.lease_expiry),
+        ("--scan-ms", &mut opts.scan_interval),
+    ] {
+        match flag_value(args, flag).map(|_| flag_num(args, flag, 0u64)) {
+            None => {}
+            Some(0) => {
+                eprintln!("{flag} wants a positive integer");
                 return 2;
             }
-        }
-    }
-    if let Some(ms) = flag_value(args, "--scan-ms") {
-        match ms.parse::<u64>() {
-            Ok(ms) if ms > 0 => opts.scan_interval = std::time::Duration::from_millis(ms),
-            _ => {
-                eprintln!("--scan-ms wants a positive integer, got `{ms}`");
-                return 2;
-            }
+            Some(ms) => *knob = std::time::Duration::from_millis(ms),
         }
     }
     let server = match icn_server::CampaignServer::bind(addr, &opts) {

@@ -5,11 +5,18 @@
 //! and load axes. The expansion is the `loads × seeds` cross-product in
 //! deterministic order (outer loads, inner seeds), so the configuration
 //! at index `i` is the same on every server that ever sees the grid —
-//! job checkpoints refer to configs by index.
+//! job checkpoints refer to configs by index. A grid expands to at most
+//! [`MAX_GRID_CONFIGS`] configurations.
 
 use flexsim::forensics::{config_from_json, config_to_json};
 use flexsim::jsonio::{bad, get, obj, parse, u64_arr, Json, ParseError};
-use flexsim::RunConfig;
+use flexsim::{sweep_supervised, RunConfig, SweepOptions};
+
+/// Most configurations one grid may expand to. A submission is parsed
+/// before anything is allocated for its expansion, so without a bound a
+/// ~1 MB body naming 10^5 seeds × 10^5 loads would abort the server on
+/// a 10^10-element allocation.
+pub const MAX_GRID_CONFIGS: usize = 1 << 16;
 
 /// A parsed job submission.
 #[derive(Clone, Debug)]
@@ -52,6 +59,15 @@ impl SweepGrid {
         };
         if seeds.is_empty() || loads.is_empty() {
             return Err(bad("grid axes must be non-empty"));
+        }
+        if seeds
+            .len()
+            .checked_mul(loads.len())
+            .is_none_or(|n| n > MAX_GRID_CONFIGS)
+        {
+            return Err(bad(&format!(
+                "grid expands to more than {MAX_GRID_CONFIGS} configs"
+            )));
         }
         if !loads.iter().all(|l| l.is_finite() && *l > 0.0) {
             return Err(bad("`loads` must be finite and positive"));
@@ -105,6 +121,16 @@ impl SweepGrid {
             }
         }
         out
+    }
+
+    /// Digests of a direct in-process [`sweep_supervised`] of the grid,
+    /// in expansion order: what a server's results must equal. A config
+    /// that fails carries its error text, which matches no digest.
+    pub fn direct_digests(&self) -> Vec<String> {
+        sweep_supervised(&self.expand(), &SweepOptions::default())
+            .into_iter()
+            .map(|r| r.map_or_else(|e| format!("failed: {e}"), |x| x.digest()))
+            .collect()
     }
 }
 
@@ -176,6 +202,26 @@ mod tests {
         assert!(
             SweepGrid::from_json(&body).is_err(),
             "zero timeout rejected"
+        );
+        let axis = |n: usize| Json::Arr((1..=n as u64).map(Json::U64).collect());
+        let body = obj(vec![
+            ("base", config_to_json(&base)),
+            ("seeds", axis(256)),
+            ("loads", Json::Arr(vec![Json::F64(0.5); 256])),
+        ])
+        .to_string();
+        let at_cap = SweepGrid::from_json(&body).unwrap();
+        assert_eq!(at_cap.seeds.len() * at_cap.loads.len(), MAX_GRID_CONFIGS);
+        let body = obj(vec![
+            ("base", config_to_json(&base)),
+            ("seeds", axis(100_000)),
+            ("loads", Json::Arr(vec![Json::F64(0.5); 100_000])),
+        ])
+        .to_string();
+        assert!(body.len() < crate::http::MAX_BODY);
+        assert!(
+            SweepGrid::from_json(&body).is_err(),
+            "10^10 configs rejected before expansion"
         );
     }
 }

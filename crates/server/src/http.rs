@@ -1,15 +1,14 @@
 //! Minimal HTTP/1.1 over `std::net` — hand-rolled on purpose: the build
 //! environment is offline and the repo's policy is zero new dependencies.
 //!
-//! The server side parses exactly what the campaign API needs (request
-//! line, headers, `Content-Length` body) and always answers with
-//! `Connection: close`, so a connection carries one request. The client
-//! side ([`http_request`]) is the same subset from the other end; the
-//! integration tests, the `repro serve --smoke` self-check, and any
-//! script with a TCP stack can drive the API with it.
+//! This is the server half: it parses exactly what the campaign API
+//! needs (request line, headers, `Content-Length` body) within fixed
+//! bounds ([`MAX_LINE`], [`MAX_HEADERS`], [`MAX_BODY`], [`IO_TIMEOUT`])
+//! and always answers with `Connection: close`, so a connection carries
+//! one request. The client half is [`crate::client`].
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Largest accepted request body (a million-config grid is ~kilobytes;
@@ -35,7 +34,7 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-fn bad_input(msg: &str) -> io::Error {
+pub(crate) fn bad_input(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
@@ -109,17 +108,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete response and flushes. `Connection: close` always.
-pub fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    respond_with_headers(stream, status, content_type, &[], body)
-}
-
-/// [`respond`] with additional response headers (name, value pairs).
+/// Writes a complete response with the `extra` headers (name, value
+/// pairs) and flushes. `Connection: close` always.
 pub fn respond_with_headers(
     stream: &mut TcpStream,
     status: u16,
@@ -148,7 +138,7 @@ pub fn respond_with_headers(
 
 /// JSON response helper.
 pub fn respond_json(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    respond(stream, status, "application/json", body.as_bytes())
+    respond_with_headers(stream, status, "application/json", &[], body.as_bytes())
 }
 
 /// A one-line JSON error body.
@@ -161,148 +151,10 @@ pub fn respond_error(stream: &mut TcpStream, status: u16, message: &str) -> io::
     respond_json(stream, status, &body)
 }
 
-/// Blocking HTTP client for the campaign API: sends one request, reads
-/// the full response (the server closes the connection after it).
-/// Returns `(status, body)`.
-pub fn http_request(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> io::Result<(u16, String)> {
-    let (status, _, payload) = http_request_full(addr, method, path, body)?;
-    Ok((status, payload))
-}
-
-/// Full client response: `(status, lowercase headers, body)`.
-pub type FullResponse = (u16, Vec<(String, String)>, String);
-
-/// [`http_request`] that also returns the response headers as
-/// lowercase-name `(name, value)` pairs — the fleet tests read
-/// `x-job-complete` from partial results streams.
-pub fn http_request_full(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> io::Result<FullResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: campaign\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8(raw).map_err(|_| bad_input("non-UTF-8 response"))?;
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| bad_input("truncated response"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_input("bad status line"))?;
-    let headers = head
-        .lines()
-        .skip(1)
-        .filter_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    Ok((status, headers, payload.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
-
-    #[test]
-    fn request_and_response_round_trip() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let req = read_request(&stream).unwrap();
-            assert_eq!(req.method, "POST");
-            assert_eq!(req.path, "/jobs");
-            assert_eq!(req.body, b"{\"x\":1}");
-            let mut stream = stream;
-            respond_json(&mut stream, 200, "{\"ok\":true}").unwrap();
-        });
-        let (status, body) =
-            http_request(addr, "POST", "/jobs?verbose=1", Some("{\"x\":1}")).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, "{\"ok\":true}");
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn get_without_body() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let req = read_request(&stream).unwrap();
-            assert_eq!(req.method, "GET");
-            assert!(req.body.is_empty());
-            let mut stream = stream;
-            respond(&mut stream, 404, "text/plain", b"nope").unwrap();
-        });
-        let (status, body) = http_request(addr, "GET", "/stats", None).unwrap();
-        assert_eq!(status, 404);
-        assert_eq!(body, "nope");
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn extra_headers_round_trip() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let _ = read_request(&stream).unwrap();
-            let mut stream = stream;
-            respond_with_headers(
-                &mut stream,
-                200,
-                "application/x-ndjson",
-                &[("X-Job-Complete", "false")],
-                b"{}\n",
-            )
-            .unwrap();
-        });
-        let (status, headers, body) =
-            http_request_full(addr, "GET", "/jobs/1/results", None).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, "{}\n");
-        let complete = headers
-            .iter()
-            .find(|(n, _)| n == "x-job-complete")
-            .map(|(_, v)| v.as_str());
-        assert_eq!(complete, Some("false"));
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn malformed_request_line_rejected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(b"garbage\r\n\r\n").unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        assert!(read_request(&stream).is_err());
-        client.join().unwrap();
-    }
 
     /// Sends `raw` from a client thread and returns what `read_request`
     /// made of it. The client ignores write errors: the server may close
@@ -319,6 +171,11 @@ mod tests {
         drop(stream);
         client.join().unwrap();
         req
+    }
+
+    #[test]
+    fn malformed_request_line_rejected() {
+        assert!(parse_raw(b"garbage\r\n\r\n".to_vec()).is_err());
     }
 
     #[test]

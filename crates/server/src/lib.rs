@@ -7,7 +7,9 @@
 //! environment is offline, so the HTTP layer, the JSON, and the signal
 //! handling are all hand-rolled on `std`.
 //!
-//! * [`http`] — minimal HTTP/1.1 server- and client-side plumbing.
+//! * [`http`] — minimal HTTP/1.1 server-side plumbing.
+//! * [`client`] — the blocking campaign client ([`Client`]) and the raw
+//!   [`http_request`] it is built on.
 //! * [`grid`] — sweep-grid submissions (`base × seeds × loads`).
 //! * [`cache`] — content-addressed result cache keyed on canonical
 //!   config digests and [`flexsim::ENGINE_VERSION`].
@@ -17,6 +19,8 @@
 //!   checkpoint appends in the core sweep format.
 //! * [`server`] — [`CampaignServer`]: endpoints, crash recovery,
 //!   fleet reconciliation, graceful shutdown.
+//! * [`chaos`] — the fleet's crash storyline and the process and
+//!   checkpoint helpers it is told with.
 //!
 //! Results served over the API are digest-identical to direct
 //! [`flexsim::sweep_supervised`] calls on the same grid: the workers run
@@ -26,6 +30,8 @@
 //! assert this end to end.
 
 pub mod cache;
+pub mod chaos;
+pub mod client;
 pub mod grid;
 pub mod http;
 pub mod lease;
@@ -34,7 +40,7 @@ pub mod signal;
 pub mod state;
 
 pub use cache::{config_key, ResultCache};
+pub use client::{http_request, http_request_full, Client};
 pub use grid::SweepGrid;
-pub use http::{http_request, http_request_full};
 pub use lease::LeaseDir;
 pub use server::{CampaignServer, ServerOptions};

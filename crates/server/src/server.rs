@@ -282,6 +282,11 @@ fn job_ids_on_disk(jobs_dir: &std::path::Path) -> Vec<u64> {
     ids
 }
 
+/// Job `id`'s checkpoint (its results stream) in `jobs_dir`.
+pub fn checkpoint_path(jobs_dir: &std::path::Path, id: u64) -> PathBuf {
+    jobs_dir.join(format!("job-{id}.ckpt.jsonl"))
+}
+
 /// Builds the in-memory [`Job`] for `id` from its on-disk grid and
 /// checkpoint. Restores completed and cancelled slots, applies the
 /// durable cancel marker, and seals a torn checkpoint tail with a guard
@@ -300,7 +305,7 @@ fn load_job_from_disk(jobs_dir: &std::path::Path, id: u64) -> Option<Job> {
         }
     };
     let configs = grid.expand();
-    let ckpt = jobs_dir.join(format!("job-{id}.ckpt.jsonl"));
+    let ckpt = checkpoint_path(jobs_dir, id);
     let mut raw: Vec<Option<Result<RunResult, SweepError>>> = Vec::new();
     raw.resize_with(configs.len(), || None);
     let restore = restore_checkpoint(&ckpt, &configs, &mut raw);
@@ -493,7 +498,7 @@ fn submit_job(ctx: &Arc<Ctx>, body: &[u8]) -> Reply {
         id,
         configs,
         slots: vec![SlotState::Pending; n],
-        ckpt: ctx.jobs_dir.join(format!("job-{id}.ckpt.jsonl")),
+        ckpt: checkpoint_path(&ctx.jobs_dir, id),
         restored: 0,
         ckpt_skipped: 0,
         ckpt_corrupt: 0,

@@ -13,17 +13,17 @@
 //!
 //! Everything runs on an ephemeral 127.0.0.1 port; no network egress.
 
-use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use deadlock_characterization::flexsim::jsonio::{parse, Json};
-use deadlock_characterization::flexsim::{
-    decode_result, sweep_supervised, RunConfig, SweepOptions,
-};
+use deadlock_characterization::flexsim::RunConfig;
+use deadlock_characterization::server::chaos::{grid, wait_lines};
+use deadlock_characterization::server::grid::MAX_GRID_CONFIGS;
 use deadlock_characterization::server::http::IO_TIMEOUT;
+use deadlock_characterization::server::server::checkpoint_path;
 use deadlock_characterization::server::{
-    http_request, http_request_full, CampaignServer, ServerOptions, SweepGrid,
+    http_request, CampaignServer, Client, ServerOptions, SweepGrid,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -33,130 +33,79 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A grid small enough to finish in seconds but wide enough to spread
-/// across workers: 2 loads × 2 seeds.
-fn test_grid() -> SweepGrid {
-    let mut base = RunConfig::small_default();
-    base.warmup = 200;
-    base.measure = 600;
-    SweepGrid {
-        base,
-        seeds: vec![21, 22],
-        loads: vec![0.15, 0.25],
-        timeout_ms: None,
-    }
+const WAIT: Duration = Duration::from_secs(300);
+
+/// An in-process server on an ephemeral port and the thread serving it.
+struct Running {
+    api: Client,
+    thread: std::thread::JoinHandle<()>,
 }
 
-fn start_server(data_dir: &Path, workers: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
+fn start_server(data_dir: &Path, workers: usize) -> Running {
     let mut opts = ServerOptions::new(data_dir);
     opts.workers = workers;
     let server = CampaignServer::bind("127.0.0.1:0", &opts).expect("bind");
-    let addr = server.addr();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
-    (addr, handle)
+    let api = Client(server.addr());
+    let thread = std::thread::spawn(move || server.serve().expect("serve"));
+    Running { api, thread }
 }
 
-fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
-    let (status, _) = http_request(addr, "POST", "/shutdown", None).expect("shutdown");
-    assert_eq!(status, 200);
-    handle.join().expect("server thread");
-}
-
-fn submit(addr: SocketAddr, grid: &SweepGrid) -> u64 {
-    let (status, body) =
-        http_request(addr, "POST", "/jobs", Some(&grid.to_json().to_string())).expect("submit");
-    assert_eq!(status, 200, "submit failed: {body}");
-    parse(&body)
-        .unwrap()
-        .get("id")
-        .and_then(Json::as_u64)
-        .expect("submit returns an id")
-}
-
-fn poll_done(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let (status, body) = http_request(addr, "GET", &format!("/jobs/{id}"), None).expect("poll");
-        assert_eq!(status, 200, "poll failed: {body}");
-        let v = parse(&body).unwrap();
-        if v.get("state").and_then(Json::as_str) == Some("done") {
-            return v;
-        }
-        assert!(Instant::now() < deadline, "job {id} never settled: {body}");
-        std::thread::sleep(Duration::from_millis(30));
+impl Running {
+    fn shutdown(self) {
+        self.api.shutdown().expect("shutdown");
+        self.thread.join().expect("server thread");
     }
-}
 
-/// Fetches `/jobs/:id/results` and returns per-slot digests.
-fn result_digests(addr: SocketAddr, id: u64, n: usize) -> Vec<String> {
-    let (status, stream) =
-        http_request(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
-    assert_eq!(status, 200);
-    let mut out = vec![String::new(); n];
-    for line in stream.lines().filter(|l| !l.trim().is_empty()) {
-        let v = parse(line).expect("every streamed line parses");
-        let idx = v.get("index").and_then(Json::as_u64).unwrap() as usize;
-        let r = decode_result(v.get("result").unwrap()).expect("decodable result");
-        out[idx] = r.digest();
+    /// Submits `grid` and waits for the job to settle.
+    fn run(&self, grid: &SweepGrid) -> (u64, Json) {
+        let id = self.api.submit(grid).expect("submit");
+        (id, self.api.wait_done(id, WAIT).expect("job settles"))
     }
-    out
-}
 
-fn stats_u64(addr: SocketAddr, path: &[&str]) -> u64 {
-    let (status, body) = http_request(addr, "GET", "/stats", None).expect("stats");
-    assert_eq!(status, 200);
-    let v = parse(&body).unwrap();
-    let mut cur = &v;
-    for key in path {
-        cur = cur
-            .get(key)
-            .unwrap_or_else(|| panic!("stats lacks {path:?}: {body}"));
+    /// The settled job's digests; its stream must say it is complete.
+    fn digests(&self, id: u64, n: usize) -> Vec<String> {
+        let results = self.api.results(id, n).expect("results");
+        assert!(results.complete, "X-Job-Complete after done");
+        results.digests
     }
-    cur.as_u64().unwrap()
+
+    fn stat(&self, path: &[&str]) -> u64 {
+        self.api.stat(path).expect("stats")
+    }
 }
 
 #[test]
 fn http_grid_matches_direct_sweep_and_resubmission_hits_cache() {
     let dir = temp_dir("grid");
-    let grid = test_grid();
-    let configs = grid.expand();
-    let direct = sweep_supervised(&configs, &SweepOptions::default());
-    let want: Vec<String> = direct
-        .iter()
-        .map(|r| r.as_ref().expect("direct run succeeds").digest())
-        .collect();
+    let grid = grid();
+    let want = grid.direct_digests();
+    let n = want.len();
 
-    let (addr, handle) = start_server(&dir, 3);
+    let server = start_server(&dir, 3);
 
     // Round 1: everything simulates, digests match the direct sweep.
-    let id = submit(addr, &grid);
-    let status = poll_done(addr, id);
+    let (id, status) = server.run(&grid);
     assert_eq!(
         status.get("completed").and_then(Json::as_u64),
-        Some(configs.len() as u64)
+        Some(n as u64)
     );
     assert_eq!(status.get("failed").and_then(Json::as_u64), Some(0));
-    assert_eq!(result_digests(addr, id, configs.len()), want);
-    let sims_first = stats_u64(addr, &["sims_run"]);
-    assert_eq!(sims_first, configs.len() as u64);
+    assert_eq!(server.digests(id, n), want);
+    let sims_first = server.stat(&["sims_run"]);
+    assert_eq!(sims_first, n as u64);
 
     // Round 2: identical grid — answered from the cache, zero new sims.
-    let id2 = submit(addr, &grid);
-    let status2 = poll_done(addr, id2);
+    let (id2, status2) = server.run(&grid);
     assert_eq!(
         status2.get("cached").and_then(Json::as_u64),
-        Some(configs.len() as u64),
+        Some(n as u64),
         "every slot should be a cache hit: {status2:?}"
     );
-    assert_eq!(
-        stats_u64(addr, &["sims_run"]),
-        sims_first,
-        "no new simulations"
-    );
-    assert!(stats_u64(addr, &["cache", "hits"]) >= configs.len() as u64);
-    assert_eq!(result_digests(addr, id2, configs.len()), want);
+    assert_eq!(server.stat(&["sims_run"]), sims_first, "no new simulations");
+    assert!(server.stat(&["cache", "hits"]) >= n as u64);
+    assert_eq!(server.digests(id2, n), want);
 
-    shutdown(addr, handle);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -167,15 +116,14 @@ fn http_grid_matches_direct_sweep_and_resubmission_hits_cache() {
 #[test]
 fn resubmission_at_different_shard_counts_hits_cache() {
     let dir = temp_dir("shards");
-    let grid = test_grid();
+    let grid = grid();
     let n = grid.expand().len();
-    let (addr, handle) = start_server(&dir, 3);
+    let server = start_server(&dir, 3);
 
     // Round 1: default knobs, everything simulates.
-    let id = submit(addr, &grid);
-    poll_done(addr, id);
-    let want = result_digests(addr, id, n);
-    let sims_first = stats_u64(addr, &["sims_run"]);
+    let (id, _) = server.run(&grid);
+    let want = server.digests(id, n);
+    let sims_first = server.stat(&["sims_run"]);
     assert_eq!(sims_first, n as u64);
 
     // Rounds 2..: same grid with the retired knobs set — pure cache
@@ -184,77 +132,57 @@ fn resubmission_at_different_shard_counts_hits_cache() {
         let mut regrid = grid.clone();
         regrid.base.shards = shards;
         regrid.base.transfer_threads = threads;
-        let id = submit(addr, &regrid);
-        let status = poll_done(addr, id);
+        let (id, status) = server.run(&regrid);
         assert_eq!(
             status.get("cached").and_then(Json::as_u64),
             Some(n as u64),
             "shards={shards} should be answered from cache: {status:?}"
         );
         assert_eq!(
-            stats_u64(addr, &["sims_run"]),
+            server.stat(&["sims_run"]),
             sims_first,
             "shards={shards} must not run new simulations"
         );
-        assert_eq!(result_digests(addr, id, n), want);
+        assert_eq!(server.digests(id, n), want);
     }
-    assert!(stats_u64(addr, &["cache", "hits"]) >= 3 * n as u64);
+    assert!(server.stat(&["cache", "hits"]) >= 3 * n as u64);
 
-    shutdown(addr, handle);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn killed_server_resumes_from_checkpoints_digest_exact() {
     let dir = temp_dir("resume");
-    let grid = test_grid();
-    let configs = grid.expand();
-    let direct = sweep_supervised(&configs, &SweepOptions::default());
-    let want: Vec<String> = direct
-        .iter()
-        .map(|r| r.as_ref().expect("direct run succeeds").digest())
-        .collect();
+    let grid = grid();
+    let want = grid.direct_digests();
+    let n = want.len();
 
     // Life 1: a single slow worker; shut down as soon as the first result
     // lands, leaving the rest of the queue abandoned (the in-flight unit
     // finishes and checkpoints — that is the graceful contract).
-    let (addr, handle) = start_server(&dir, 1);
-    let id = submit(addr, &grid);
-    let ckpt = dir.join("jobs").join(format!("job-{id}.ckpt.jsonl"));
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let done = std::fs::read_to_string(&ckpt)
-            .map(|t| t.lines().filter(|l| !l.trim().is_empty()).count())
-            .unwrap_or(0);
-        if done >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "no checkpoint line ever appeared"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    shutdown(addr, handle);
+    let server = start_server(&dir, 1);
+    let id = server.api.submit(&grid).expect("submit");
+    let ckpt = checkpoint_path(&dir.join("jobs"), id);
+    wait_lines(&ckpt, 1, WAIT).expect("a checkpoint line appears");
+    server.shutdown();
 
     // Simulate the hard-kill signature on top: tear the final checkpoint
     // line in half (no trailing newline). The torn slot must re-run.
-    let text = std::fs::read_to_string(&ckpt).expect("checkpoint exists");
-    let full_lines = text.lines().filter(|l| !l.trim().is_empty()).count();
-    assert!(full_lines >= 1, "shutdown flushed at least one result");
     // Drop the trailing newline and the last 10 bytes of the final line:
     // an unparseable fragment with no newline, exactly what a writer
     // killed mid-append leaves behind.
+    let text = std::fs::read_to_string(&ckpt).expect("checkpoint exists");
     let body = text.trim_end();
     std::fs::write(&ckpt, &body[..body.len() - 10]).unwrap();
 
     // Life 2: recovery re-expands the grid, restores what survived,
     // reruns the rest, and converges to the same digests.
-    let (addr2, handle2) = start_server(&dir, 3);
-    let status = poll_done(addr2, id);
+    let server = start_server(&dir, 3);
+    let status = server.api.wait_done(id, WAIT).expect("job settles");
     assert_eq!(
         status.get("completed").and_then(Json::as_u64),
-        Some(configs.len() as u64),
+        Some(n as u64),
         "resumed job completes every slot: {status:?}"
     );
     let ckpt_report = status
@@ -265,12 +193,12 @@ fn killed_server_resumes_from_checkpoints_digest_exact() {
         Some(true),
         "the torn line must be detected and surfaced: {status:?}"
     );
-    assert_eq!(result_digests(addr2, id, configs.len()), want);
+    assert_eq!(server.digests(id, n), want);
     assert!(
-        stats_u64(addr2, &["jobs", "resumed"]) >= 1,
+        server.stat(&["jobs", "resumed"]) >= 1,
         "recovery counts the resumed job"
     );
-    shutdown(addr2, handle2);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -281,39 +209,27 @@ fn killed_server_resumes_from_checkpoints_digest_exact() {
 #[test]
 fn partial_results_stream_whole_lines_and_cancel_settles_job() {
     let dir = temp_dir("cancel");
-    let mut grid = test_grid();
+    let mut grid = grid();
     // Long configs on one worker: the grid cannot finish before the early
     // requests land, even in an optimized build (cancellation interrupts
     // the running config, so the test stays short).
     grid.base.measure = 200_000;
     let n = grid.expand().len();
-    let (addr, handle) = start_server(&dir, 1);
-    let id = submit(addr, &grid);
+    let server = start_server(&dir, 1);
+    let id = server.api.submit(&grid).expect("submit");
 
     // Early fetch: the job is still running, so the header must say the
-    // stream is partial — and every line it does carry parses whole.
-    let (status, headers, stream) =
-        http_request_full(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
-    assert_eq!(status, 200);
-    let complete = headers
-        .iter()
-        .find(|(k, _)| k == "x-job-complete")
-        .map(|(_, v)| v.as_str());
-    assert_eq!(complete, Some("false"), "job cannot be done yet");
-    for line in stream.lines().filter(|l| !l.trim().is_empty()) {
-        assert!(
-            parse(line).is_ok(),
-            "partial stream leaked a torn line: {line}"
-        );
-    }
+    // stream is partial — and every line it does carry decodes whole.
+    let early = server.api.results(id, n).expect("partial stream decodes");
+    assert!(!early.complete, "job cannot be done yet");
 
     let (status, body) =
-        http_request(addr, "POST", &format!("/jobs/{id}/cancel"), None).expect("cancel");
+        http_request(server.api.0, "POST", &format!("/jobs/{id}/cancel"), None).expect("cancel");
     assert_eq!(status, 200, "cancel failed: {body}");
     let v = parse(&body).unwrap();
     assert_eq!(v.get("cancelled").and_then(Json::as_bool), Some(true));
 
-    let status = poll_done(addr, id);
+    let status = server.api.wait_done(id, WAIT).expect("job settles");
     let completed = status.get("completed").and_then(Json::as_u64).unwrap();
     let cancelled = status.get("cancelled").and_then(Json::as_u64).unwrap();
     assert_eq!(
@@ -329,16 +245,10 @@ fn partial_results_stream_whole_lines_and_cancel_settles_job() {
 
     // The final stream carries exactly the completed slots' records and
     // declares itself complete.
-    let (_, headers, stream) =
-        http_request_full(addr, "GET", &format!("/jobs/{id}/results"), None).expect("results");
-    let complete = headers
-        .iter()
-        .find(|(k, _)| k == "x-job-complete")
-        .map(|(_, v)| v.as_str());
-    assert_eq!(complete, Some("true"));
-    let lines = stream.lines().filter(|l| !l.trim().is_empty()).count();
+    let records = server.digests(id, n);
     assert_eq!(
-        lines as u64, completed,
+        records.iter().filter(|d| !d.is_empty()).count() as u64,
+        completed,
         "one result record per completed slot"
     );
 
@@ -349,7 +259,7 @@ fn partial_results_stream_whole_lines_and_cancel_settles_job() {
         .join(format!("job-{id}.ckpt.cancel"))
         .exists());
 
-    shutdown(addr, handle);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -368,9 +278,8 @@ fn per_config_timeout_is_terminal_across_restarts() {
         timeout_ms: Some(1),
     };
 
-    let (addr, handle) = start_server(&dir, 1);
-    let id = submit(addr, &grid);
-    let status = poll_done(addr, id);
+    let server = start_server(&dir, 1);
+    let (id, status) = server.run(&grid);
     assert_eq!(
         status.get("cancelled").and_then(Json::as_u64),
         Some(1),
@@ -378,20 +287,20 @@ fn per_config_timeout_is_terminal_across_restarts() {
     );
     let slots = status.get("slots").and_then(Json::as_arr).unwrap();
     assert_eq!(slots[0].as_str(), Some("timed_out"));
-    shutdown(addr, handle);
+    server.shutdown();
 
     // Life 2: the timed-out slot is restored from its status record, not
     // re-run — the job is settled immediately.
-    let (addr2, handle2) = start_server(&dir, 1);
-    let status2 = poll_done(addr2, id);
+    let server = start_server(&dir, 1);
+    let status2 = server.api.wait_done(id, WAIT).expect("job settles");
     let slots2 = status2.get("slots").and_then(Json::as_arr).unwrap();
     assert_eq!(
         slots2[0].as_str(),
         Some("timed_out"),
         "terminal: {status2:?}"
     );
-    assert_eq!(stats_u64(addr2, &["sims_run"]), 0, "nothing re-ran");
-    shutdown(addr2, handle2);
+    assert_eq!(server.stat(&["sims_run"]), 0, "nothing re-ran");
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -419,7 +328,8 @@ fn incident_endpoints_serve_stored_incidents() {
     let store = IncidentStore::open(dir.join("incidents")).unwrap();
     store.save(&res.forensic_incidents[0]).unwrap();
 
-    let (addr, handle) = start_server(&dir, 1);
+    let server = start_server(&dir, 1);
+    let addr = server.api.0;
 
     let (status, body) = http_request(addr, "GET", "/incidents", None).unwrap();
     assert_eq!(status, 200);
@@ -442,14 +352,15 @@ fn incident_endpoints_serve_stored_incidents() {
     let (status, _) = http_request(addr, "GET", "/incidents/7", None).unwrap();
     assert_eq!(status, 404);
 
-    shutdown(addr, handle);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn bad_requests_get_clean_errors() {
     let dir = temp_dir("errors");
-    let (addr, handle) = start_server(&dir, 1);
+    let server = start_server(&dir, 1);
+    let addr = server.api.0;
 
     let (status, _) = http_request(addr, "GET", "/jobs/999", None).unwrap();
     assert_eq!(status, 404);
@@ -461,7 +372,20 @@ fn bad_requests_get_clean_errors() {
     let (status, _) = http_request(addr, "GET", "/jobs/abc", None).unwrap();
     assert_eq!(status, 400);
 
-    shutdown(addr, handle);
+    // A grid over the expansion cap is refused before anything is
+    // allocated for it, and the server keeps answering.
+    let mut huge = grid();
+    huge.seeds = (0..100_000).collect();
+    huge.loads = vec![0.5; 100_000];
+    assert!(huge.seeds.len() * huge.loads.len() > MAX_GRID_CONFIGS);
+    let (status, body) =
+        http_request(addr, "POST", "/jobs", Some(&huge.to_json().to_string())).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("configs"), "{body}");
+    let (status, _) = http_request(addr, "GET", "/stats", None).unwrap();
+    assert_eq!(status, 200);
+
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -471,7 +395,8 @@ fn bad_requests_get_clean_errors() {
 #[test]
 fn idle_clients_cannot_hold_the_handler_pool() {
     let dir = temp_dir("idle");
-    let (addr, handle) = start_server(&dir, 1);
+    let server = start_server(&dir, 1);
+    let addr = server.api.0;
     assert_eq!(ServerOptions::new(&dir).http_threads, 2);
 
     let idle: Vec<std::net::TcpStream> = (0..2)
@@ -489,6 +414,6 @@ fn idle_clients_cannot_hold_the_handler_pool() {
     );
     drop(idle);
 
-    shutdown(addr, handle);
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
